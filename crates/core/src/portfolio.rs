@@ -243,6 +243,8 @@ struct RunRecord<T> {
     verdict: Option<EngineVerdict>,
     value: Option<T>,
     elapsed: Duration,
+    /// When the entrant came home.
+    returned: Instant,
     panic: Option<String>,
 }
 
@@ -271,7 +273,8 @@ pub fn race<T: Send>(
     // item list.
     let slots: Vec<Mutex<Option<Engine<'_, T>>>> =
         engines.into_iter().map(|e| Mutex::new(Some(e))).collect();
-    let winner: Mutex<Option<usize>> = Mutex::new(None);
+    // The winner's index and the instant it cancelled the field.
+    let winner: Mutex<Option<(usize, Instant)>> = Mutex::new(None);
 
     let pool = Pool::persistent(&cfg.parallel);
     let mut records: Vec<RunRecord<T>> = pool.map_items(&slots, |i, slot| {
@@ -288,13 +291,16 @@ pub fn race<T: Send>(
         let mut span = rec.span_under(engine.name, race_handle);
         let t0 = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| (engine.run)(&child)));
-        let elapsed = t0.elapsed();
+        let returned = Instant::now();
+        let elapsed = returned - t0;
         match outcome {
             Ok((verdict, value)) => {
                 if verdict.is_definitive() {
                     let mut w = winner.lock().expect("winner lock");
                     if w.is_none() {
-                        *w = Some(i);
+                        // Stamped before the cancel, so every loser
+                        // that comes home after it has a latency.
+                        *w = Some((i, Instant::now()));
                         // Losers observe this on their next poll and
                         // come home as Interrupted.
                         race_guard.cancel();
@@ -313,6 +319,7 @@ pub fn race<T: Send>(
                     verdict: Some(verdict),
                     value: Some(value),
                     elapsed,
+                    returned,
                     panic: None,
                 }
             }
@@ -322,15 +329,27 @@ pub fn race<T: Send>(
                     verdict: None,
                     value: None,
                     elapsed,
+                    returned,
                     panic: Some(panic_message(payload.as_ref())),
                 }
             }
         }
     });
 
-    let won = *winner.lock().expect("winner lock");
-    if let Some(i) = won {
+    let decided = *winner.lock().expect("winner lock");
+    let won = decided.map(|(i, _)| i);
+    if let Some((i, cancelled_at)) = decided {
         race_span.note_str("winner", names[i]);
+        // Cancellation latency: how long each loser still running at
+        // the winner's cancel took to come home.
+        for (j, r) in records.iter().enumerate() {
+            if j == i {
+                continue;
+            }
+            if let Some(late) = r.returned.checked_duration_since(cancelled_at) {
+                rec.observe("race.cancel_latency", late.as_nanos() as u64);
+            }
+        }
     }
     let deadline_passed = race_guard.deadline().is_some_and(|at| Instant::now() >= at);
     let reports: Vec<EngineReport> = records
@@ -402,7 +421,7 @@ pub fn race<T: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ringen_parallel::Poller;
+    use ringen_parallel::{Poller, Recorder};
 
     fn threads(n: usize) -> RaceConfig {
         RaceConfig {
@@ -447,6 +466,32 @@ mod tests {
         assert_eq!(stats.engines[0].status, EngineStatus::Won);
         assert_eq!(stats.engines[1].status, EngineStatus::Cancelled);
         assert_eq!(stats.cancelled(), 1);
+    }
+
+    #[test]
+    fn every_cancelled_loser_records_its_cancel_latency() {
+        for n in [1, 3] {
+            let rec = Recorder::new();
+            let guard = Guard::new().with_recorder(rec.clone());
+            let engines = vec![
+                Engine::new("fast", |_: &Guard| (EngineVerdict::Sat, 7)),
+                diverging("slow"),
+                diverging("slower"),
+            ];
+            let (_, stats) = race(engines, &threads(n), &guard);
+            assert_eq!(stats.cancelled(), 2, "threads={n}");
+            let trace = rec.snapshot();
+            let latency = trace
+                .histograms
+                .iter()
+                .find(|(name, _)| *name == "race.cancel_latency")
+                .map(|(_, h)| h.count);
+            assert_eq!(
+                latency,
+                Some(2),
+                "threads={n}: one sample per cancelled loser"
+            );
+        }
     }
 
     #[test]

@@ -15,15 +15,26 @@
 //!
 //! By default the whole sweep shares **one live SAT solver**
 //! ([`FinderConfig::incremental`], `RINGEN_FMF_INCREMENTAL=0` restores
-//! the one-shot reference path). Cell variables are allocated once for
-//! the *maximum* domain sizes any attempted vector reaches; each size
-//! vector is selected by per-(sort, element) "element exists" literals
-//! passed to [`ringen_sat::Solver::solve_under_assumptions`]; every
-//! ground instance is guarded by the negated existence literals of the
-//! elements it mentions, so instances outside the current vector are
-//! vacuous. Only the *delta* of never-before-grounded assignments is
-//! pushed per vector, and learnt clauses from size *n* prune size
-//! *n + 1* instead of being thrown away.
+//! the one-shot reference path). The encoding grows with the sweep,
+//! Paradox-style: when a vector first needs element *n* of a sort, one
+//! growth step adds that element's cells, result values and predicate
+//! rows, plus the selector of element *n + 1* — the frontier every
+//! cell's newest at-least-one clause escapes through. Each size vector
+//! is selected by per-(sort, element) "element exists" literals passed
+//! to [`ringen_sat::Solver::solve_under_assumptions`], the frontiers
+//! always assumed false; every ground instance is guarded by the
+//! negated existence literals of the elements it mentions, so instances
+//! outside the current vector are vacuous. Only the *delta* of
+//! never-before-grounded assignments is pushed per vector, and learnt
+//! clauses from size *n* prune size *n + 1* instead of being thrown
+//! away.
+//!
+//! Cancellation is bounded everywhere in the sweep: the guard is polled
+//! (through a [`Poller`]) per growth-step clause, per assignment of the
+//! grounding odometers and per instance added to the solver, besides
+//! the SAT search's own polls. A polled guard that has not tripped
+//! changes nothing, so uncancelled runs stay bit-identical at any
+//! `RINGEN_THREADS`.
 //!
 //! On SAT, the extracted model is optionally shrunk to a ⊆-minimal
 //! predicate extension ([`FinderConfig::minimize`],
@@ -35,7 +46,7 @@
 //! certificates downstream.
 
 use ringen_chc::ChcSystem;
-use ringen_parallel::{Guard, ParallelConfig, Pool, Recorder};
+use ringen_parallel::{Guard, ParallelConfig, Poller, Pool, Recorder};
 use ringen_sat::{Lit, SatResult, Solver, Var};
 use ringen_terms::FuncKind;
 
@@ -53,9 +64,9 @@ pub struct FinderConfig {
     pub max_ground_instances: u64,
     /// Enable constant-ordering symmetry breaking.
     pub symmetry_breaking: bool,
-    /// Keep one live solver across the sweep: max-size tables up front,
-    /// "element exists" selector assumptions per vector, delta-only
-    /// grounding, learnt clauses retained. The default honors
+    /// Keep one live solver across the sweep: tables grown one element
+    /// at a time, "element exists" selector assumptions per vector,
+    /// delta-only grounding, learnt clauses retained. The default honors
     /// `RINGEN_FMF_INCREMENTAL` (`0` selects the one-shot reference
     /// path); verdicts are identical either way.
     pub incremental: bool,
@@ -153,9 +164,10 @@ pub fn find_model(
 }
 
 /// [`find_model`] with cooperative cancellation: the guard is polled
-/// between size vectors, between grounding waves, and inside the SAT
-/// search. A trip yields [`FmfOutcome::Interrupted`] with the statistics
-/// accumulated so far; no partial state escapes.
+/// between size vectors, inside encoding growth, grounding and clause
+/// loading, and inside the SAT search. A trip yields
+/// [`FmfOutcome::Interrupted`] with the statistics accumulated so far;
+/// no partial state escapes.
 pub fn find_model_guarded(
     sys: &ChcSystem,
     config: &FinderConfig,
@@ -186,20 +198,6 @@ fn find_model_inner(
     span.note("incremental", i64::from(config.incremental));
     let mut outcome = FmfOutcome::Exhausted;
     if config.incremental {
-        // Per-sort caps: the largest size each sort reaches over the
-        // vectors the sweep will actually attempt. The skip estimate is
-        // a function of the vector alone, so this is exact — tables are
-        // never allocated for sizes only skipped vectors would need.
-        let mut caps = vec![0usize; num_sorts];
-        for total in num_sorts..=config.max_total_size {
-            for sizes in compositions(total, num_sorts) {
-                if estimate_instances(&flat, &sizes) <= config.max_ground_instances {
-                    for (c, s) in caps.iter_mut().zip(&sizes) {
-                        *c = (*c).max(*s);
-                    }
-                }
-            }
-        }
         let mut sweep: Option<IncrementalSweep> = None;
         'inc: for total in num_sorts..=config.max_total_size {
             for sizes in compositions(total, num_sorts) {
@@ -212,7 +210,11 @@ fn find_model_inner(
                     stats.skipped_too_large += 1;
                     continue;
                 }
-                let sw = sweep.get_or_insert_with(|| IncrementalSweep::new(sys, &caps, config));
+                let sw = sweep.get_or_insert_with(|| IncrementalSweep::new(sys));
+                if sw.grow_to(sys, &sizes, config, guard, &rec).is_err() {
+                    outcome = FmfOutcome::Interrupted;
+                    break 'inc;
+                }
                 match sw.try_vector(
                     sys, &flat, &sizes, est, config, &pool, guard, &rec, &mut stats,
                 ) {
@@ -407,26 +409,33 @@ fn try_sizes(
     // a root-level conflict: at most one batch is generated in vain.
     let batch = (pool.threads() * 4).max(1);
     let mut added: u64 = 0;
-    for wave in flat.chunks(batch) {
-        if guard.is_some_and(|g| g.is_cancelled()) {
-            span.note_str("outcome", "interrupted");
-            return SizeOutcome::Interrupted;
-        }
+    let mut poll = Poll::new(guard);
+    let mut interrupted = false;
+    'waves: for wave in flat.chunks(batch) {
         let grounded: Vec<GroundInstances> = pool
             .map_chunks(wave, |_, chunk| {
                 chunk
                     .iter()
-                    .map(|c| ground_clause(sys, c, sizes, &func_vars, &pred_vars))
+                    .map(|c| ground_clause(sys, c, sizes, &func_vars, &pred_vars, guard))
                     .collect::<Vec<_>>()
             })
             .into_iter()
             .flatten()
             .collect();
         for g in &grounded {
+            if g.interrupted {
+                interrupted = true;
+                break 'waves;
+            }
             for lits in g.iter() {
+                if poll.tripped() {
+                    interrupted = true;
+                    break 'waves;
+                }
                 added += 1;
                 if !solver.add_clause(lits) {
                     stats.delta_clauses += added;
+                    span.note("delta_clauses", added as i64);
                     stats.conflicts += solver.conflict_count();
                     stats.decisions += solver.decision_count();
                     stats.propagations += solver.propagation_count();
@@ -439,6 +448,10 @@ fn try_sizes(
     }
     stats.delta_clauses += added;
     span.note("delta_clauses", added as i64);
+    if interrupted {
+        span.note_str("outcome", "interrupted");
+        return SizeOutcome::Interrupted;
+    }
     span.note("assumptions", 0);
 
     let result = match guard {
@@ -487,20 +500,26 @@ fn try_sizes(
     out
 }
 
-/// The shared-solver sweep state: max-size tables, existence selectors,
-/// and the set of size boxes whose ground instances are already in the
-/// solver.
+/// The shared-solver sweep state: tables grown one element at a time,
+/// existence selectors, and the set of size boxes whose ground
+/// instances are already in the solver.
 struct IncrementalSweep {
     solver: Solver,
-    /// Largest size each sort reaches over the attempted vectors.
-    caps: Vec<usize>,
-    /// `ex[s][k-1]`: "element `k` of sort `s` exists". Element 0 always
-    /// exists (every vector gives every sort size ≥ 1) and has no
-    /// selector.
+    /// Elements encoded so far per sort: every table covers elements
+    /// `0..alloc[s]` of sort `s`, laid out row-major at these
+    /// dimensions.
+    alloc: Vec<usize>,
+    /// `ex[s][k-1]`: "element `k` of sort `s` exists", for `k` in
+    /// `1..=alloc[s]`. Element 0 always exists (every vector gives every
+    /// sort size ≥ 1) and has no selector. The last selector names the
+    /// frontier element `alloc[s]`, which has no cells yet: every
+    /// vector assumes it false, and the newest at-least-one clause of
+    /// each cell escapes through it.
     ex: Vec<Vec<Var>>,
-    /// Function-table variables e[f][row][result] at `caps` dimensions.
+    /// Function-table variables e[f][row][result] at `alloc`
+    /// dimensions.
     func_vars: Vec<Vec<Vec<Var>>>,
-    /// Predicate-table variables b[p][row] at `caps` dimensions.
+    /// Predicate-table variables b[p][row] at `alloc` dimensions.
     pred_vars: Vec<Vec<Var>>,
     /// Size boxes already grounded (an antichain: dominated boxes are
     /// pruned). An assignment inside any of them is already a clause in
@@ -513,92 +532,247 @@ struct IncrementalSweep {
     broken: bool,
 }
 
-impl IncrementalSweep {
-    fn new(sys: &ChcSystem, caps: &[usize], config: &FinderConfig) -> IncrementalSweep {
-        let sig = &sys.sig;
-        let mut solver = Solver::new();
-        // Existence selectors with a monotone chain: element k implies
-        // element k-1, so assumptions describe a prefix per sort.
-        let ex: Vec<Vec<Var>> = caps
-            .iter()
-            .map(|&c| (1..c).map(|_| solver.new_var()).collect())
-            .collect();
-        for col in &ex {
-            for w in col.windows(2) {
-                solver.add_clause(&[Lit::neg(w[1]), Lit::pos(w[0])]);
+/// The guard tripped inside an encoding growth step; the half-grown
+/// sweep must not be queried again.
+struct Tripped;
+
+/// One growth step's clause sink: a guard poll per clause, the clause
+/// count for the `fmf.encode` span, and whether the solver derived a
+/// root-level conflict.
+struct Step<'g> {
+    poll: Poll<'g>,
+    clauses: u64,
+    broken: bool,
+}
+
+impl Step<'_> {
+    fn clause(&mut self, solver: &mut Solver, lits: &[Lit]) -> Result<(), Tripped> {
+        self.clauses += 1;
+        if !solver.add_clause(lits) {
+            self.broken = true;
+        }
+        if self.poll.tripped() {
+            Err(Tripped)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Appends result value `k = cell.len()` to a cell whose range sort
+    /// has the selectors `ex` (element `k` encoded, so `ex` ends at
+    /// element `k + 1`, the frontier): at most one result, the result
+    /// must exist, and an at-least-one clause over values `0..=k`
+    /// escaping through the frontier. The cell's older at-least-one
+    /// clauses stay: each escapes through a selector that any vector
+    /// without the then-frontier element assumes false.
+    fn push_value(
+        &mut self,
+        solver: &mut Solver,
+        cell: &mut Vec<Var>,
+        ex: &[Var],
+    ) -> Result<Var, Tripped> {
+        let v = solver.new_var();
+        for &w in cell.iter() {
+            self.clause(solver, &[Lit::neg(w), Lit::neg(v)])?;
+        }
+        if let Some(k) = cell.len().checked_sub(1) {
+            self.clause(solver, &[Lit::neg(v), Lit::pos(ex[k])])?;
+        }
+        cell.push(v);
+        let mut at_least: Vec<Lit> = cell.iter().map(|&w| Lit::pos(w)).collect();
+        at_least.push(Lit::pos(ex[cell.len() - 1]));
+        self.clause(solver, &at_least)?;
+        Ok(v)
+    }
+
+    /// A fresh cell over `values` results with the clauses of
+    /// [`Step::push_value`], but only the newest at-least-one clause.
+    fn new_cell(
+        &mut self,
+        solver: &mut Solver,
+        values: usize,
+        ex: &[Var],
+    ) -> Result<Vec<Var>, Tripped> {
+        let cell: Vec<Var> = (0..values).map(|_| solver.new_var()).collect();
+        for (k, &v) in cell.iter().enumerate() {
+            for &w in &cell[..k] {
+                self.clause(solver, &[Lit::neg(w), Lit::neg(v)])?;
+            }
+            if k >= 1 {
+                self.clause(solver, &[Lit::neg(v), Lit::pos(ex[k - 1])])?;
             }
         }
-        let func_vars: Vec<Vec<Vec<Var>>> = sig
+        if values > 0 {
+            let mut at_least: Vec<Lit> = cell.iter().map(|&w| Lit::pos(w)).collect();
+            at_least.push(Lit::pos(ex[values - 1]));
+            self.clause(solver, &at_least)?;
+        }
+        Ok(cell)
+    }
+}
+
+impl IncrementalSweep {
+    /// An empty encoding: no element of any sort yet, so only the
+    /// nullary symbols have (single-row) tables.
+    fn new(sys: &ChcSystem) -> IncrementalSweep {
+        let mut solver = Solver::new();
+        let func_vars = sys
+            .sig
             .funcs()
             .map(|f| {
-                let d = sig.func(f);
-                let rows: usize = d.domain.iter().map(|s| caps[s.index()]).product();
-                let range = caps[d.range.index()];
-                (0..rows)
-                    .map(|_| (0..range).map(|_| solver.new_var()).collect())
-                    .collect()
+                let rows = usize::from(sys.sig.func(f).arity() == 0);
+                vec![Vec::new(); rows]
             })
             .collect();
-        let pred_vars: Vec<Vec<Var>> = sys
+        let pred_vars = sys
             .rels
             .iter()
             .map(|p| {
-                let d = sys.rels.decl(p);
-                let rows: usize = d.domain.iter().map(|s| caps[s.index()]).product();
+                let rows = usize::from(sys.rels.decl(p).domain.is_empty());
                 (0..rows).map(|_| solver.new_var()).collect()
             })
             .collect();
-        // Exactly one result per cell, and the result must exist: cells
-        // of phantom rows are unconstrained by instances (their guards
-        // are true), but still pick some existing value — value 0 always
-        // works, so these clauses can never make the sweep stricter than
-        // the one-shot encoding at the selected sizes.
-        for f in sig.funcs() {
-            let range_sort = sig.func(f).range.index();
-            for cell in &func_vars[f.index()] {
-                let at_least: Vec<Lit> = cell.iter().map(|&v| Lit::pos(v)).collect();
-                solver.add_clause(&at_least);
-                for i in 0..cell.len() {
-                    for j in i + 1..cell.len() {
-                        solver.add_clause(&[Lit::neg(cell[i]), Lit::neg(cell[j])]);
-                    }
-                }
-                for (k, &v) in cell.iter().enumerate().skip(1) {
-                    solver.add_clause(&[Lit::neg(v), Lit::pos(ex[range_sort][k - 1])]);
-                }
-            }
-        }
-        // Symmetry breaking over the full caps: values beyond the
-        // current vector are already excluded by the result-exists
-        // clauses, so per-vector this is exactly the one-shot constraint.
-        if config.symmetry_breaking {
-            let mut seen_constants = vec![0usize; caps.len()];
-            for f in sig.funcs() {
-                let d = sig.func(f);
-                if d.arity() != 0 {
-                    continue;
-                }
-                let k = seen_constants[d.range.index()];
-                seen_constants[d.range.index()] += 1;
-                for v in func_vars[f.index()][0]
-                    .iter()
-                    .take(caps[d.range.index()])
-                    .skip(k + 1)
-                {
-                    solver.add_clause(&[Lit::neg(*v)]);
-                }
-            }
-        }
         IncrementalSweep {
             solver,
-            caps: caps.to_vec(),
-            ex,
+            alloc: vec![0; sys.sig.sort_count()],
+            ex: vec![Vec::new(); sys.sig.sort_count()],
             func_vars,
             pred_vars,
             covered: Vec::new(),
             used: false,
             broken: false,
         }
+    }
+
+    /// Grows the encoding until it covers `sizes`, one element per
+    /// step, each step under its own `fmf.encode` span.
+    fn grow_to(
+        &mut self,
+        sys: &ChcSystem,
+        sizes: &[usize],
+        config: &FinderConfig,
+        guard: Option<&Guard>,
+        rec: &Recorder,
+    ) -> Result<(), Tripped> {
+        for (s, &size) in sizes.iter().enumerate() {
+            while self.alloc[s] < size {
+                let mut span = rec.span("fmf.encode");
+                span.note("sort", s as i64);
+                span.note("element", self.alloc[s] as i64);
+                let vars = self.solver.num_vars();
+                let mut step = Step {
+                    poll: Poll::new(guard),
+                    clauses: 0,
+                    broken: false,
+                };
+                let grown = self.grow(sys, s, config.symmetry_breaking, &mut step);
+                self.broken |= step.broken;
+                span.note("vars", (self.solver.num_vars() - vars) as i64);
+                span.note("clauses", step.clauses as i64);
+                if grown.is_err() {
+                    span.note_str("outcome", "interrupted");
+                    return Err(Tripped);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Adds element `n = alloc[s]` of sort `s`: the selector of element
+    /// `n + 1` (the new frontier) with its chain clause, result value
+    /// `n` on every existing cell ranging over `s`, and the function and
+    /// predicate rows that mention `n`.
+    fn grow(
+        &mut self,
+        sys: &ChcSystem,
+        s: usize,
+        symmetry_breaking: bool,
+        step: &mut Step<'_>,
+    ) -> Result<(), Tripped> {
+        let sig = &sys.sig;
+        let IncrementalSweep {
+            solver,
+            alloc,
+            ex,
+            func_vars,
+            pred_vars,
+            ..
+        } = self;
+        let n = alloc[s];
+        // Selectors form a monotone chain — element k implies element
+        // k-1 — so assumptions describe a prefix per sort.
+        let frontier = solver.new_var();
+        if let Some(&prev) = ex[s].last() {
+            step.clause(solver, &[Lit::neg(frontier), Lit::pos(prev)])?;
+        }
+        ex[s].push(frontier);
+        alloc[s] = n + 1;
+
+        let mut seen_constants = 0usize;
+        for f in sig.funcs() {
+            let d = sig.func(f);
+            if d.range.index() != s {
+                continue;
+            }
+            let constant_rank = (d.arity() == 0).then(|| {
+                seen_constants += 1;
+                seen_constants - 1
+            });
+            for cell in &mut func_vars[f.index()] {
+                let v = step.push_value(solver, cell, &ex[s])?;
+                // Symmetry breaking: the i-th constant of each sort
+                // takes a value ≤ i (domains can always be permuted
+                // into this form).
+                if symmetry_breaking && constant_rank.is_some_and(|k| n > k) {
+                    step.clause(solver, &[Lit::neg(v)])?;
+                }
+            }
+        }
+
+        // Re-lay every table over `s` out at the grown dimensions; the
+        // rows that mention element `n` are new.
+        let dims = |domain: &[ringen_terms::SortId]| -> (Vec<usize>, Vec<usize>) {
+            let new: Vec<usize> = domain.iter().map(|t| alloc[t.index()]).collect();
+            let old = domain
+                .iter()
+                .zip(&new)
+                .map(|(t, &a)| if t.index() == s { n } else { a })
+                .collect();
+            (old, new)
+        };
+        for f in sig.funcs() {
+            let d = sig.func(f);
+            if !d.domain.iter().any(|t| t.index() == s) {
+                continue;
+            }
+            let (old, new) = dims(&d.domain);
+            let range = d.range.index();
+            let table = relayout(std::mem::take(&mut func_vars[f.index()]), &old, &new);
+            let mut grown = Vec::with_capacity(table.len());
+            for row in table {
+                grown.push(match row {
+                    Some(cell) => cell,
+                    None => step.new_cell(solver, alloc[range], &ex[range])?,
+                });
+            }
+            func_vars[f.index()] = grown;
+        }
+        for p in sys.rels.iter() {
+            let d = sys.rels.decl(p);
+            if !d.domain.iter().any(|t| t.index() == s) {
+                continue;
+            }
+            let (old, new) = dims(&d.domain);
+            let table = relayout(std::mem::take(&mut pred_vars[p.index()]), &old, &new);
+            pred_vars[p.index()] = table
+                .into_iter()
+                .map(|row| row.unwrap_or_else(|| solver.new_var()))
+                .collect();
+        }
+        if step.poll.tripped() {
+            return Err(Tripped);
+        }
+        Ok(())
     }
 
     /// The selector assumptions describing `sizes`: element `k` of sort
@@ -677,22 +851,20 @@ impl IncrementalSweep {
         // any previously grounded box. Same batching/determinism
         // contract as the one-shot path.
         let mut delta: u64 = 0;
+        let mut interrupted = false;
         if !self.broken {
             let batch = (pool.threads() * 4).max(1);
-            let (caps, covered) = (&self.caps, &self.covered);
+            let mut poll = Poll::new(guard);
+            let (alloc, covered) = (&self.alloc, &self.covered);
             let (func_vars, pred_vars, ex) = (&self.func_vars, &self.pred_vars, &self.ex);
             'waves: for wave in flat.chunks(batch) {
-                if guard.is_some_and(|g| g.is_cancelled()) {
-                    span.note_str("outcome", "interrupted");
-                    return SizeOutcome::Interrupted;
-                }
                 let grounded: Vec<GroundInstances> = pool
                     .map_chunks(wave, |_, chunk| {
                         chunk
                             .iter()
                             .map(|c| {
                                 ground_clause_delta(
-                                    sys, c, sizes, caps, covered, func_vars, pred_vars, ex,
+                                    sys, c, sizes, alloc, covered, func_vars, pred_vars, ex, guard,
                                 )
                             })
                             .collect::<Vec<_>>()
@@ -701,7 +873,15 @@ impl IncrementalSweep {
                     .flatten()
                     .collect();
                 for g in &grounded {
+                    if g.interrupted {
+                        interrupted = true;
+                        break 'waves;
+                    }
                     for lits in g.iter() {
+                        if poll.tripped() {
+                            interrupted = true;
+                            break 'waves;
+                        }
                         delta += 1;
                         if !self.solver.add_clause(lits) {
                             self.broken = true;
@@ -710,12 +890,16 @@ impl IncrementalSweep {
                     }
                 }
             }
-            if !self.broken {
+            if !self.broken && !interrupted {
                 self.cover(sizes);
             }
         }
         stats.delta_clauses += delta;
         span.note("delta_clauses", delta as i64);
+        if interrupted {
+            span.note_str("outcome", "interrupted");
+            return SizeOutcome::Interrupted;
+        }
         let assumptions = self.assumptions_for(sizes);
         span.note("assumptions", assumptions.len() as i64);
         if self.broken {
@@ -751,7 +935,7 @@ impl IncrementalSweep {
                 let model = extract_model(
                     sys,
                     sizes,
-                    &self.caps,
+                    &self.alloc,
                     &self.func_vars,
                     &self.pred_vars,
                     |v| values[v.index()] == Some(true),
@@ -786,7 +970,7 @@ impl IncrementalSweep {
             let rows: usize = dims.iter().product();
             for r in 0..rows {
                 let args = unrank(r, &dims);
-                let row = pred_row_index(sys, p, &args, &self.caps);
+                let row = pred_row_index(sys, p, &args, &self.alloc);
                 out.push(self.pred_vars[p.index()][row]);
             }
         }
@@ -866,8 +1050,9 @@ fn shrink_true_preds(
 }
 
 /// Reads a [`FiniteModel`] at `sizes` out of a variable assignment. The
-/// tables may be allocated at larger dimensions (`index_sizes`, the
-/// incremental caps); only rows inside `sizes` are consulted.
+/// tables may be laid out at larger dimensions (`index_sizes`, the
+/// elements an incremental sweep has encoded so far); only rows inside
+/// `sizes` are consulted.
 fn extract_model(
     sys: &ChcSystem,
     sizes: &[usize],
@@ -922,10 +1107,13 @@ fn extract_model(
 /// The ground SAT instances of one flattened clause: literal lists
 /// stored back to back in one flat buffer (`ends[i]` is the exclusive
 /// end of instance `i`), compact enough to materialize a whole clause's
-/// sweep before handing it to the solver.
+/// sweep before handing it to the solver. `interrupted` marks a sweep
+/// the guard cut short: the instances are then only a prefix.
+#[derive(Default)]
 struct GroundInstances {
     lits: Vec<Lit>,
     ends: Vec<usize>,
+    interrupted: bool,
 }
 
 impl GroundInstances {
@@ -941,25 +1129,29 @@ impl GroundInstances {
 /// Enumerates every variable assignment of one flattened clause and
 /// emits the surviving ground instances, in odometer order. Pure: reads
 /// only frozen tables, writes only its own buffer — the unit of work
-/// the parallel sweep fans out.
+/// the parallel sweep fans out. The guard is polled once per
+/// assignment (amortized by [`Poller`]).
 fn ground_clause(
     sys: &ChcSystem,
     c: &FlatClause,
     sizes: &[usize],
     func_vars: &[Vec<Vec<Var>>],
     pred_vars: &[Vec<Var>],
+    guard: Option<&Guard>,
 ) -> GroundInstances {
     let sig = &sys.sig;
-    let mut out = GroundInstances {
-        lits: Vec::new(),
-        ends: Vec::new(),
-    };
+    let mut out = GroundInstances::default();
     let dims: Vec<usize> = c.var_sorts.iter().map(|s| sizes[s.index()]).collect();
     if dims.contains(&0) {
         return out;
     }
+    let mut poll = Poll::new(guard);
     let mut assign = vec![0usize; dims.len()];
     'assignments: loop {
+        if poll.tripped() {
+            out.interrupted = true;
+            break;
+        }
         // Equality literals are decided at grounding time.
         let eq_ok = c.eqs.iter().all(|&(a, b)| assign[a] == assign[b]);
         if eq_ok {
@@ -1003,7 +1195,7 @@ fn ground_clause(
 
 /// [`ground_clause`] for the incremental sweep: iterates the box of
 /// `sizes` but emits only assignments *not* inside any covered box, with
-/// tables indexed at `caps` dimensions, and guards every instance with
+/// tables indexed at `alloc` dimensions, and guards every instance with
 /// the negated existence selectors of the elements it mentions — so the
 /// instance is vacuous whenever a later, smaller vector deselects one of
 /// them.
@@ -1012,23 +1204,26 @@ fn ground_clause_delta(
     sys: &ChcSystem,
     c: &FlatClause,
     sizes: &[usize],
-    caps: &[usize],
+    alloc: &[usize],
     covered: &[Vec<usize>],
     func_vars: &[Vec<Vec<Var>>],
     pred_vars: &[Vec<Var>],
     ex: &[Vec<Var>],
+    guard: Option<&Guard>,
 ) -> GroundInstances {
     let sig = &sys.sig;
-    let mut out = GroundInstances {
-        lits: Vec::new(),
-        ends: Vec::new(),
-    };
+    let mut out = GroundInstances::default();
     let dims: Vec<usize> = c.var_sorts.iter().map(|s| sizes[s.index()]).collect();
     if dims.contains(&0) {
         return out;
     }
+    let mut poll = Poll::new(guard);
     let mut assign = vec![0usize; dims.len()];
     'assignments: loop {
+        if poll.tripped() {
+            out.interrupted = true;
+            break;
+        }
         let already = covered.iter().any(|b| {
             assign
                 .iter()
@@ -1039,18 +1234,18 @@ fn ground_clause_delta(
         if eq_ok {
             for (f, args, res) in &c.defs {
                 let vals: Vec<usize> = args.iter().map(|&v| assign[v]).collect();
-                let row = row_index(sig, *f, &vals, caps);
+                let row = row_index(sig, *f, &vals, alloc);
                 out.lits
                     .push(Lit::neg(func_vars[f.index()][row][assign[*res]]));
             }
             for (p, args) in &c.body {
                 let vals: Vec<usize> = args.iter().map(|&v| assign[v]).collect();
-                let row = pred_row_index(sys, *p, &vals, caps);
+                let row = pred_row_index(sys, *p, &vals, alloc);
                 out.lits.push(Lit::neg(pred_vars[p.index()][row]));
             }
             if let Some((p, args)) = &c.head {
                 let vals: Vec<usize> = args.iter().map(|&v| assign[v]).collect();
-                let row = pred_row_index(sys, *p, &vals, caps);
+                let row = pred_row_index(sys, *p, &vals, alloc);
                 out.lits.push(Lit::pos(pred_vars[p.index()][row]));
             }
             // Existence guards (duplicates are deduplicated by the
@@ -1080,6 +1275,38 @@ fn ground_clause_delta(
         }
     }
     out
+}
+
+/// [`Poller`] over an optional guard: an unguarded search never trips.
+struct Poll<'g>(Option<Poller<'g>>);
+
+impl<'g> Poll<'g> {
+    fn new(guard: Option<&'g Guard>) -> Self {
+        Poll(guard.map(Poller::new))
+    }
+
+    fn tripped(&mut self) -> bool {
+        self.0.as_mut().is_some_and(Poller::poll)
+    }
+}
+
+/// A row-major table at `old` dimensions, re-laid out at the larger
+/// `new` ones: every old row lands at its new index, and the rows
+/// outside the old box are `None`.
+fn relayout<T>(table: Vec<T>, old: &[usize], new: &[usize]) -> Vec<Option<T>> {
+    let mut old_rows: Vec<Option<T>> = table.into_iter().map(Some).collect();
+    let rows: usize = new.iter().product();
+    (0..rows)
+        .map(|r| {
+            let args = unrank(r, new);
+            if args.iter().zip(old).all(|(a, o)| a < o) {
+                let at = args.iter().zip(old).fold(0, |idx, (a, o)| idx * o + a);
+                old_rows[at].take()
+            } else {
+                None
+            }
+        })
+        .collect()
 }
 
 fn row_index(
@@ -1470,6 +1697,135 @@ mod tests {
         };
         let (_, so) = find_model(&sys, &one).unwrap();
         assert_eq!(so.solver_reuses, 0);
+    }
+
+    /// The integer note `key` on a recorded span.
+    fn note(span: &ringen_obs::SpanRec, key: &str) -> i64 {
+        span.args
+            .iter()
+            .find_map(|(k, v)| match v {
+                ringen_obs::ArgVal::Int(i) if *k == key => Some(*i),
+                _ => None,
+            })
+            .unwrap_or_else(|| panic!("span {} has no integer note {key}", span.name))
+    }
+
+    #[test]
+    fn lazy_growth_encodes_only_the_elements_the_sweep_reaches() {
+        // The portfolio's budget is 64 elements; Even's model needs 2.
+        // An encoding at the per-sort caps would allocate 63 selectors
+        // and 64×64 cells before the first vector; growing per size
+        // step encodes elements 0 and 1 only.
+        let sys = even_system();
+        let rec = Recorder::new();
+        let guard = Guard::new().with_recorder(rec.clone());
+        let cfg = FinderConfig {
+            max_total_size: 64,
+            incremental: true,
+            ..FinderConfig::default()
+        };
+        let (outcome, _) = find_model_guarded(&sys, &cfg, &guard).unwrap();
+        let model = outcome.model().expect("even has a 2-element model");
+        assert_eq!(model.size(), 2);
+        assert!(model.satisfies(&sys));
+        let trace = rec.snapshot();
+        let search = trace
+            .spans
+            .iter()
+            .find(|s| s.name == "fmf.search")
+            .expect("the search is traced");
+        let steps: Vec<_> = trace
+            .spans
+            .iter()
+            .filter(|s| s.name == "fmf.encode")
+            .collect();
+        assert!(steps.iter().all(|s| s.parent == Some(search.id)));
+        let elements: Vec<i64> = steps.iter().map(|s| note(s, "element")).collect();
+        assert_eq!(elements, vec![0, 1], "one growth step per element");
+        // Element 0: Z's value, the cell S(0) and the row even(0), plus
+        // the selector of element 1. Element 1: value 1 on the cells Z
+        // and S(0), the two-valued cell S(1), the row even(1), plus the
+        // selector of element 2 — the frontier every at-least-one
+        // clause escapes through, assumed false. No cell, value or row
+        // of element 2 exists.
+        let vars: Vec<i64> = steps.iter().map(|s| note(s, "vars")).collect();
+        assert_eq!(vars, vec![4, 6]);
+    }
+
+    /// Even plus a harmless query over 17 flat variables: the size-2
+    /// vector grounds 2^17 = 131072 instances of it.
+    fn even_with_a_wide_query() -> ChcSystem {
+        let mut b = SystemBuilder::new();
+        let nat = b.sort("Nat");
+        let z = b.ctor("Z", vec![], nat);
+        let s = b.ctor("S", vec![nat], nat);
+        let even = b.pred("even", vec![nat]);
+        b.clause(|c| {
+            c.head(even, vec![c.app0(z)]);
+        });
+        b.clause(|c| {
+            let x = c.var("x", nat);
+            c.body(even, vec![c.v(x)]);
+            c.head(even, vec![Term::iterate(s, c.v(x), 2)]);
+        });
+        b.clause(|c| {
+            let x = c.var("x", nat);
+            c.body(even, vec![c.v(x)]);
+            c.body(even, vec![c.app(s, vec![c.v(x)])]);
+        });
+        b.clause(|c| {
+            let xs: Vec<_> = (0..16).map(|i| c.var(format!("x{i}"), nat)).collect();
+            for &x in &xs {
+                c.body(even, vec![c.v(x)]);
+            }
+            c.body(even, vec![c.app(s, vec![c.v(xs[0])])]);
+        });
+        b.finish()
+    }
+
+    #[test]
+    fn a_trip_inside_grounding_stops_within_one_poll_period() {
+        let sys = even_with_a_wide_query();
+        for incremental in [true, false] {
+            let rec = Recorder::new();
+            // A few hundred polls see the size-1 vector through and
+            // trip while the size-2 vector's wide query is grounding
+            // (about one poll per `DEFAULT_POLL_PERIOD` assignments).
+            let guard = Guard::with_fuel(300).with_recorder(rec.clone());
+            let cfg = FinderConfig {
+                incremental,
+                parallel: ParallelConfig::with_threads(1),
+                ..FinderConfig::default()
+            };
+            let (outcome, stats) = find_model_guarded(&sys, &cfg, &guard).unwrap();
+            assert!(
+                matches!(outcome, FmfOutcome::Interrupted),
+                "incremental = {incremental}"
+            );
+            let trace = rec.snapshot();
+            let sizes: Vec<_> = trace
+                .spans
+                .iter()
+                .filter(|s| s.name == "fmf.size")
+                .collect();
+            let last = sizes.last().expect("a vector was tried");
+            assert_eq!(sizes.len(), 2, "incremental = {incremental}");
+            assert_eq!(note(last, "total"), 2);
+            assert!(note(last, "instances") >= 100_000);
+            assert!(last
+                .args
+                .contains(&("outcome", ringen_obs::ArgVal::Str("interrupted"))));
+            // Nothing close to the whole vector reached the solver.
+            let pushed = note(last, "delta_clauses");
+            assert!(
+                pushed <= i64::from(ringen_parallel::DEFAULT_POLL_PERIOD),
+                "incremental = {incremental}: {pushed} instances pushed after the trip"
+            );
+            assert_eq!(
+                stats.delta_clauses,
+                (note(sizes[0], "delta_clauses") + pushed) as u64
+            );
+        }
     }
 
     #[test]
