@@ -85,7 +85,6 @@ pub fn run_hybrid(sys: &ChcSystem) -> HybridOutcome {
         finder: crate::finder_config(),
         saturation: SolverKind::RInGen.saturation(),
         verify_invariants: true,
-        verify_refutations: true,
     };
     let (answer, _) = ringen_core::solve(sys, &cfg);
     match answer {

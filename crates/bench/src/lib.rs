@@ -164,7 +164,6 @@ pub fn run_solver(kind: SolverKind, sys: &ChcSystem) -> (RunAnswer, Option<usize
                 finder: finder_config(),
                 saturation: kind.saturation(),
                 verify_invariants: true,
-                verify_refutations: true,
             };
             let (answer, stats) = ringen_core::solve(sys, &cfg);
             match answer {

@@ -12,6 +12,8 @@
 //! * [`solve`] — the end-to-end solver: UNSAT with a replayable
 //!   [`Refutation`], SAT with a [`RegularInvariant`] re-verified by the
 //!   decidable inductiveness check ([`check_inductive`]);
+//! * [`refute`] — the refute phase every engine opens with, and the
+//!   [`SharedRefutation`] cell that runs it once per portfolio race;
 //! * [`definability`] — executable pumping lemmas (§6) and bounded
 //!   regular-definability search (§7).
 //!
@@ -44,6 +46,7 @@ pub mod inductive;
 pub mod invariant;
 pub mod portfolio;
 pub mod preprocess;
+pub mod refute;
 pub mod saturation;
 pub mod solve;
 
@@ -52,6 +55,7 @@ pub use inductive::{
 };
 pub use invariant::{DisplayInvariant, RegularInvariant};
 pub use preprocess::{preprocess, PreprocessStats, Preprocessed};
+pub use refute::{refute_guarded, Refuted, SharedRefutation};
 pub use ringen_parallel::{
     deadline_ms_from_env, FaultPlan, FaultStats, Faults, Guard, Poller, Recorder, RecorderLimits,
     SharedRecorder, Span, SpanHandle,
@@ -61,5 +65,6 @@ pub use saturation::{
     SaturationConfig, SaturationOutcome,
 };
 pub use solve::{
-    solve, solve_guarded, solve_with_store, Answer, Divergence, RingenConfig, SatAnswer, SolveStats,
+    search_guarded, solve, solve_guarded, solve_with_store, Answer, Divergence, RingenConfig,
+    SatAnswer, SolveStats,
 };

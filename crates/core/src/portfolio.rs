@@ -12,8 +12,9 @@
 //!
 //! The racer is *generic* in the engine payload: `ringen-core` sits
 //! below the template solvers in the dependency order, so the concrete
-//! elem/sizeelem/regelem/FMF wiring lives in the facade crate
-//! (`ringen::portfolio`).
+//! elem/sizeelem/regelem/FMF wiring lives in `ringen-server`
+//! (`Entrants`), the lowest crate that sees all four engines, together
+//! with the per-race shared refute phase ([`crate::refute`]).
 //!
 //! Degenerate thread counts degrade gracefully: with one worker the
 //! race is the sequential hybrid chain — entrants run in order, and

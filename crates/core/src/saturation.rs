@@ -46,7 +46,11 @@
 //! path; the differential property tests in `tests/` pin 2, 4 and 8
 //! workers to it). Budgets stay deterministic because each clause runs
 //! under the budget remaining at the round's start, and the merge
-//! re-applies the global caps clause by clause. The workers themselves
+//! re-applies the global caps clause by clause. An item that stops on
+//! a cap bounds the merge to end by its clause, so the items of later
+//! clauses are skipped, or abandoned at their next poll (`RoundCut`):
+//! on a round the fact cap ends early that is most of the round's
+//! work, and none of it would have been merged. The workers themselves
 //! are spawned **once per [`saturate`] call** and parked between
 //! rounds ([`ringen_parallel::Pool::persistent`]), so many-round
 //! instances pay no per-round spawn latency.
@@ -109,6 +113,7 @@
 use std::error::Error;
 use std::fmt;
 use std::hash::Hasher;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ringen_chc::{Atom, ChcSystem, Clause, Constraint, PredId};
 use ringen_parallel::{Guard, ParallelConfig, Pool, Recorder};
@@ -453,6 +458,33 @@ impl FactBase {
 /// [`saturate_guarded`]).
 pub const GUARD_STEP_PERIOD: u64 = 128;
 
+/// The lowest clause whose work item hit a budget this round.
+///
+/// An item stopped by the fact cap holds `max_facts − snapshot`
+/// distinct candidates, none of them in the snapshot; one stopped by
+/// the step cap spent the whole step budget left at the round's start.
+/// Either way the merge ends the run (`Budget`, or `Refuted` when a
+/// query fires first) no later than that clause's deltas, so the items
+/// of later clauses can never be merged: workers skip them, or abandon
+/// them at their next poll. The outcome is unchanged; only speculative
+/// work that the merge would discard is saved.
+struct RoundCut(AtomicUsize);
+
+impl RoundCut {
+    fn new() -> Self {
+        RoundCut(AtomicUsize::new(usize::MAX))
+    }
+
+    /// Items of `clause` can no longer be merged this round.
+    fn passed(&self, clause: usize) -> bool {
+        clause > self.0.load(Ordering::Relaxed)
+    }
+
+    fn budget_hit(&self, clause: usize) {
+        self.0.fetch_min(clause, Ordering::Relaxed);
+    }
+}
+
 /// Outcome of [`saturate`].
 #[derive(Debug, Clone)]
 pub enum SaturationOutcome {
@@ -537,6 +569,8 @@ struct ClauseRun {
     /// The matcher observed a tripped guard; the whole round's deltas
     /// will be discarded.
     interrupted: bool,
+    /// Skipped or abandoned past the [`RoundCut`]: never merged.
+    cut: bool,
 }
 
 /// Runs one work item against the frozen snapshot. Pure: depends only
@@ -553,19 +587,28 @@ fn run_item(
     enum_cache: &FxHashMap<SortId, Vec<GroundTerm>>,
     step_budget: u64,
     guard: Option<&Guard>,
+    round_cut: &RoundCut,
 ) -> ClauseRun {
     let clause = &sys.clauses[item.clause];
+    let skipped = || ClauseRun {
+        steps: 0,
+        refutation: None,
+        new_facts: Vec::new(),
+        nodes: ScratchNodes::default(),
+        enum_terms: Vec::new(),
+        facts_capped: false,
+        interrupted: false,
+        cut: false,
+    };
     // A query of the ∀∃ shape (§5) cannot be fired by a finite set of
     // facts; the refuter conservatively skips it.
     if !clause.exist_vars.is_empty() {
+        return skipped();
+    }
+    if round_cut.passed(item.clause) {
         return ClauseRun {
-            steps: 0,
-            refutation: None,
-            new_facts: Vec::new(),
-            nodes: ScratchNodes::default(),
-            enum_terms: Vec::new(),
-            facts_capped: false,
-            interrupted: false,
+            cut: true,
+            ..skipped()
         };
     }
     let mut matcher = Matcher {
@@ -585,11 +628,17 @@ fn run_item(
         facts_capped: false,
         guard,
         interrupted: false,
+        clause_index: item.clause,
+        round_cut,
+        cut: false,
         refutation: None,
         new_facts: Vec::new(),
         new_index: FxHashSet::default(),
     };
     matcher.run();
+    if matcher.budget_hit && !matcher.cut {
+        round_cut.budget_hit(item.clause);
+    }
     let mut enum_terms: Vec<(SortId, Vec<GroundTerm>)> = matcher.enum_fresh.into_iter().collect();
     enum_terms.sort_by_key(|(s, _)| *s);
     ClauseRun {
@@ -600,6 +649,7 @@ fn run_item(
         enum_terms,
         facts_capped: matcher.facts_capped,
         interrupted: matcher.interrupted,
+        cut: matcher.cut,
     }
 }
 
@@ -654,6 +704,7 @@ fn merge_round(
     round: usize,
 ) -> RoundEnd {
     for (ci, run) in runs.into_iter().enumerate() {
+        debug_assert!(!run.cut, "clause {ci} was cut but reached the merge");
         if rec.text_enabled() {
             rec.text_line(format_args!(
                 "round {round} clause {ci} facts={} steps={} (clause spent {} steps, {} candidates)",
@@ -737,6 +788,10 @@ fn merge_round_semi(
                 .position(|it| it.clause != ci)
                 .unwrap_or(items.len() - start);
         let group = &mut runs[start..end];
+        debug_assert!(
+            group.iter().all(|r| !r.cut),
+            "clause {ci} was cut but reached the merge"
+        );
         let group_steps: u64 = group.iter().map(|r| r.steps).sum();
         if rec.text_enabled() {
             rec.text_line(format_args!(
@@ -983,6 +1038,7 @@ fn saturate_rounds(
         // cross-item order dependence); the merge re-applies the
         // global cap clause by clause.
         let step_budget = cfg.max_steps.saturating_sub(stats.steps);
+        let round_cut = RoundCut::new();
         let runs: Vec<ClauseRun> = pool.map_items(&items, |_, &item| {
             run_item(
                 sys,
@@ -994,6 +1050,7 @@ fn saturate_rounds(
                 &enum_cache,
                 step_budget,
                 Some(guard),
+                &round_cut,
             )
         });
         // A tripped guard discards the whole round: merging a torn
@@ -1160,6 +1217,11 @@ struct Matcher<'a> {
     guard: Option<&'a Guard>,
     /// The guard tripped; stop matching, the round will be discarded.
     interrupted: bool,
+    /// This item's clause index, for the [`RoundCut`].
+    clause_index: usize,
+    round_cut: &'a RoundCut,
+    /// An earlier clause hit a budget: stop, this item is never merged.
+    cut: bool,
     #[allow(clippy::type_complexity)]
     new_facts: Vec<(PredId, FactArgs, Bind, Vec<usize>)>,
     /// Hash index over `new_facts` (the in-round dedup must not scan).
@@ -1169,6 +1231,19 @@ struct Matcher<'a> {
 impl<'a> Matcher<'a> {
     fn run(&mut self) {
         self.match_body(0, Bind::new(), Vec::new());
+    }
+
+    /// The poll every [`GUARD_STEP_PERIOD`] steps: a tripped guard
+    /// interrupts the item, a [`RoundCut`] past its clause abandons it
+    /// (unwinding the join as a budget stop does).
+    fn polled_stop(&mut self) -> bool {
+        if self.guard.is_some_and(Guard::is_cancelled) {
+            self.interrupted = true;
+        } else if self.round_cut.passed(self.clause_index) {
+            self.cut = true;
+            self.budget_hit = true;
+        }
+        self.interrupted || self.cut
     }
 
     /// The candidate rows for body atom `k` under `bind`: the
@@ -1230,13 +1305,8 @@ impl<'a> Matcher<'a> {
                 self.budget_hit = true;
                 return;
             }
-            if self.steps.is_multiple_of(GUARD_STEP_PERIOD) {
-                if let Some(g) = self.guard {
-                    if g.is_cancelled() {
-                        self.interrupted = true;
-                        return;
-                    }
-                }
+            if self.steps.is_multiple_of(GUARD_STEP_PERIOD) && self.polled_stop() {
+                return;
             }
             let fi = fi as usize;
             let mut bind2 = bind.clone();
@@ -1380,13 +1450,8 @@ impl<'a> Matcher<'a> {
                 self.budget_hit = true;
                 return;
             }
-            if self.steps.is_multiple_of(GUARD_STEP_PERIOD) {
-                if let Some(g) = self.guard {
-                    if g.is_cancelled() {
-                        self.interrupted = true;
-                        return;
-                    }
-                }
+            if self.steps.is_multiple_of(GUARD_STEP_PERIOD) && self.polled_stop() {
+                return;
             }
             let mut sub2 = sub.clone();
             let mut single = Substitution::new();
@@ -1747,6 +1812,67 @@ mod tests {
         }
         assert!(stats.steps > 0);
         assert!(stats.pooled_terms > 0);
+    }
+
+    #[test]
+    fn a_budget_stop_cuts_the_later_clauses_of_its_round() {
+        // Clause 2 squares p's row into q; clause 3 would fire a query.
+        let sys = parse_str(
+            r#"
+            (declare-datatypes ((Nat 0)) (((Z) (S (pre Nat)))))
+            (declare-fun p (Nat) Bool)
+            (declare-fun q (Nat Nat) Bool)
+            (assert (p Z))
+            (assert (forall ((x Nat)) (=> (p x) (p (S x)))))
+            (assert (forall ((x Nat) (y Nat)) (=> (and (p x) (p y)) (q x y))))
+            (assert (forall ((x Nat)) (=> (p (S x)) false)))
+            "#,
+        )
+        .unwrap();
+        // A two-round snapshot (p(Z), p(S(Z)), q(Z, Z)), then a round
+        // capped two facts on: the square has three new q facts.
+        let seed = SaturationConfig {
+            max_rounds: 2,
+            ..SaturationConfig::default()
+        };
+        let (SaturationOutcome::Budget(base), _) = saturate(&sys, &seed) else {
+            panic!("the query cannot fire before round 2");
+        };
+        let cfg = SaturationConfig {
+            max_facts: base.len() + 2,
+            ..SaturationConfig::default()
+        };
+        let cache = FxHashMap::default();
+        let cut = RoundCut::new();
+        let run = |clause| {
+            let item = WorkItem {
+                clause,
+                delta_atom: None,
+            };
+            run_item(
+                &sys,
+                &cfg,
+                item,
+                &base,
+                0,
+                false,
+                &cache,
+                u64::MAX,
+                None,
+                &cut,
+            )
+        };
+        // Nothing is cut before a budget stop.
+        let query = run(3);
+        assert!(!query.cut && query.refutation.is_some());
+        let square = run(2);
+        assert!(square.facts_capped && !square.cut);
+        assert_eq!(square.new_facts.len(), 2);
+        // The merge ends by clause 2 now: clause 3 is skipped, clause 1
+        // still runs.
+        let query = run(3);
+        assert!(query.cut && query.refutation.is_none() && query.steps == 0);
+        assert!(!run(1).cut);
     }
 
     #[test]

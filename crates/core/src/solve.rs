@@ -1,10 +1,10 @@
 //! The end-to-end RInGen solver (Figure 1).
 //!
-//! `solve` orchestrates: a quick bottom-up refutation attempt (UNSAT with
-//! a replayable certificate), then the §4 preprocessing pipeline and the
-//! finite-model search (SAT with a regular invariant, re-verified
-//! inductive by the decidable check of [`crate::inductive`]). Every
-//! budget is a deterministic step count.
+//! `solve` is two phases: the shared refute phase of [`crate::refute`]
+//! (UNSAT with a replayable certificate), then [`search_guarded`] — the
+//! §4 preprocessing pipeline and the finite-model search (SAT with a
+//! regular invariant, re-verified inductive by the decidable check of
+//! [`crate::inductive`]). Every budget is a deterministic step count.
 
 use ringen_automata::AutStore;
 use ringen_chc::ChcSystem;
@@ -14,10 +14,8 @@ use ringen_parallel::Guard;
 use crate::inductive::{check_inductive_guarded, InductiveCheck};
 use crate::invariant::RegularInvariant;
 use crate::preprocess::{preprocess, PreprocessStats, Preprocessed};
-use crate::saturation::{
-    check_refutation, saturate_guarded, Refutation, SaturationConfig, SaturationOutcome,
-    SaturationStats,
-};
+use crate::refute::{refute_guarded, Refuted};
+use crate::saturation::{Refutation, SaturationConfig, SaturationStats};
 
 /// Tuning knobs for [`solve`].
 #[derive(Debug, Clone)]
@@ -27,11 +25,9 @@ pub struct RingenConfig {
     /// Refuter budgets.
     pub saturation: SaturationConfig,
     /// Re-check SAT invariants with the independent inductiveness
-    /// checker (cheap; on by default).
+    /// checker (cheap; on by default). Refutations are always replayed
+    /// (see [`refute_guarded`]).
     pub verify_invariants: bool,
-    /// Replay UNSAT refutations with the independent checker (cheap; on
-    /// by default).
-    pub verify_refutations: bool,
 }
 
 impl Default for RingenConfig {
@@ -40,7 +36,6 @@ impl Default for RingenConfig {
             finder: FinderConfig::default(),
             saturation: SaturationConfig::default(),
             verify_invariants: true,
-            verify_refutations: true,
         }
     }
 }
@@ -191,6 +186,31 @@ pub fn solve_guarded(
     store: &mut AutStore,
     guard: &Guard,
 ) -> (Answer, SolveStats) {
+    let (refuted, sat_stats) = refute_guarded(sys, &cfg.saturation, guard);
+    let (answer, mut stats) = match refuted {
+        Refuted::Unsat(r) => (Answer::Unsat(r), SolveStats::default()),
+        Refuted::Interrupted => (Answer::Interrupted, SolveStats::default()),
+        Refuted::NoRefutation => search_guarded(sys, cfg, store, guard),
+    };
+    stats.saturation = Some(sat_stats);
+    (answer, stats)
+}
+
+/// The search phase of [`solve_guarded`] on its own: preprocessing,
+/// finite-model search, and invariant verification, with no refutation
+/// attempt. It never answers UNSAT; a caller that has already run the
+/// refute phase (a portfolio entrant, `RegElem`'s regular phase) calls
+/// this directly.
+///
+/// # Panics
+///
+/// Same conditions as [`solve`].
+pub fn search_guarded(
+    sys: &ChcSystem,
+    cfg: &RingenConfig,
+    store: &mut AutStore,
+    guard: &Guard,
+) -> (Answer, SolveStats) {
     if let Err(e) = sys.well_sorted() {
         panic!("input system is not well-sorted: {e}");
     }
@@ -198,7 +218,8 @@ pub fn solve_guarded(
     // Lift the store's cache accounting into the counter registry as a
     // delta: a shared store may arrive warm from an earlier solve.
     let store_before = store.stats();
-    let (answer, stats) = solve_phases(sys, cfg, store, guard);
+    let mut stats = SolveStats::default();
+    let answer = search_phases(sys, cfg, store, guard, &mut stats);
     let after = store.stats();
     rec.add(
         "aut.dedup_hits",
@@ -215,32 +236,14 @@ pub fn solve_guarded(
     (answer, stats)
 }
 
-fn solve_phases(
+fn search_phases(
     sys: &ChcSystem,
     cfg: &RingenConfig,
     store: &mut AutStore,
     guard: &Guard,
-) -> (Answer, SolveStats) {
+    stats: &mut SolveStats,
+) -> Answer {
     let rec = guard.recorder().clone();
-    let mut stats = SolveStats::default();
-
-    // Phase 1: cheap refutation attempt on the original clauses.
-    let (sat_outcome, sat_stats) = saturate_guarded(sys, &cfg.saturation, guard);
-    stats.saturation = Some(sat_stats);
-    match sat_outcome {
-        SaturationOutcome::Refuted(r) => {
-            if cfg.verify_refutations {
-                if let Err(e) = check_refutation(sys, &r) {
-                    panic!("refuter produced an invalid refutation: {e}");
-                }
-            }
-            return (Answer::Unsat(r), stats);
-        }
-        SaturationOutcome::Interrupted(_) => return (Answer::Interrupted, stats),
-        SaturationOutcome::Saturated(_) | SaturationOutcome::Budget(_) => {}
-    }
-
-    // Phase 2: Figure 1 pipeline + finite-model search.
     let pre = {
         let mut span = rec.span("preprocess");
         let pre = preprocess(sys);
@@ -253,12 +256,7 @@ fn solve_phases(
     stats.preprocess = Some(pre.stats.clone());
     let (outcome, fstats) = match find_model_guarded(&pre.skolemized, &cfg.finder, guard) {
         Ok(pair) => pair,
-        Err(e) => {
-            return (
-                Answer::Unknown(Divergence::NotReducible(e.to_string())),
-                stats,
-            )
-        }
+        Err(e) => return Answer::Unknown(Divergence::NotReducible(e.to_string())),
     };
     stats.finder = Some(fstats);
     match outcome {
@@ -272,7 +270,7 @@ fn solve_phases(
                     InductiveCheck::Inductive => span.note_str("outcome", "inductive"),
                     InductiveCheck::Interrupted => {
                         span.note_str("outcome", "interrupted");
-                        return (Answer::Interrupted, stats);
+                        return Answer::Interrupted;
                     }
                     InductiveCheck::Violated(v)
                         if sys.clauses.iter().any(|c| !c.exist_vars.is_empty()) =>
@@ -283,22 +281,19 @@ fn solve_phases(
                         // `preprocess::skolemize`). Honest answer: unknown.
                         let _ = v;
                         span.note_str("outcome", "skolem_miss");
-                        return (Answer::Unknown(Divergence::ModelSearchExhausted), stats);
+                        return Answer::Unknown(Divergence::ModelSearchExhausted);
                     }
                     other => panic!("model-derived invariant failed verification: {other:?}"),
                 }
             }
-            (
-                Answer::Sat(Box::new(SatAnswer {
-                    invariant,
-                    model,
-                    preprocessed: pre,
-                })),
-                stats,
-            )
+            Answer::Sat(Box::new(SatAnswer {
+                invariant,
+                model,
+                preprocessed: pre,
+            }))
         }
-        FmfOutcome::Exhausted => (Answer::Unknown(Divergence::ModelSearchExhausted), stats),
-        FmfOutcome::Interrupted => (Answer::Interrupted, stats),
+        FmfOutcome::Exhausted => Answer::Unknown(Divergence::ModelSearchExhausted),
+        FmfOutcome::Interrupted => Answer::Interrupted,
     }
 }
 

@@ -38,6 +38,7 @@ pub mod template;
 pub use dp::{check_cube, CubeSat};
 pub use lit::{Cube, ElemFormula, Literal};
 pub use solver::{
-    solve_elem, solve_elem_guarded, ElemAnswer, ElemConfig, ElemInvariant, ElemStats,
+    search_elem_guarded, solve_elem, solve_elem_guarded, ElemAnswer, ElemConfig, ElemInvariant,
+    ElemStats,
 };
 pub use template::{atoms, candidates, TemplateConfig};

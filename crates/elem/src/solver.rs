@@ -16,8 +16,8 @@
 use std::collections::BTreeMap;
 
 use ringen_chc::{ChcSystem, Clause, Constraint, PredId};
-use ringen_core::saturation::{saturate_guarded, Refutation, SaturationConfig, SaturationOutcome};
-use ringen_core::{Guard, Poller};
+use ringen_core::saturation::{Refutation, SaturationConfig};
+use ringen_core::{refute_guarded, Guard, Poller, Refuted};
 use ringen_terms::GroundTerm;
 
 use crate::dp::{check_cube, CubeSat};
@@ -142,10 +142,10 @@ pub fn solve_elem(sys: &ChcSystem, cfg: &ElemConfig) -> (ElemAnswer, ElemStats) 
     solve_elem_guarded(sys, cfg, &Guard::new())
 }
 
-/// [`solve_elem`] with cooperative cancellation: the guard is threaded
-/// into the refuter and polled once per candidate assignment of the
-/// template sweep. A trip yields [`ElemAnswer::Interrupted`] with the
-/// statistics accumulated so far.
+/// [`solve_elem`] with cooperative cancellation: the shared refute
+/// phase ([`refute_guarded`]), then [`search_elem_guarded`]. A trip
+/// yields [`ElemAnswer::Interrupted`] with the statistics accumulated
+/// so far.
 ///
 /// # Panics
 ///
@@ -155,48 +155,32 @@ pub fn solve_elem_guarded(
     cfg: &ElemConfig,
     guard: &Guard,
 ) -> (ElemAnswer, ElemStats) {
+    match refute_guarded(sys, &cfg.saturation, guard).0 {
+        Refuted::Unsat(r) => (ElemAnswer::Unsat(r), ElemStats::default()),
+        Refuted::Interrupted => (ElemAnswer::Interrupted, ElemStats::default()),
+        Refuted::NoRefutation => search_elem_guarded(sys, cfg, guard),
+    }
+}
+
+/// The search phase alone: the template sweep, with no refutation
+/// attempt, so it never answers UNSAT. Candidate assignments are
+/// enumerated in order of total index, mirroring the model finder's
+/// size-vector sweep, and the guard is polled once per assignment.
+///
+/// # Panics
+///
+/// Same conditions as [`solve_elem`].
+pub fn search_elem_guarded(
+    sys: &ChcSystem,
+    cfg: &ElemConfig,
+    guard: &Guard,
+) -> (ElemAnswer, ElemStats) {
     if let Err(e) = sys.well_sorted() {
         panic!("input system is not well-sorted: {e}");
     }
     let mut stats = ElemStats::default();
-    let rec = guard.recorder().clone();
-
-    // Phase 1: refute.
-    {
-        let mut span = rec.span("elem.refute");
-        let (outcome, _) = saturate_guarded(sys, &cfg.saturation, guard);
-        match outcome {
-            SaturationOutcome::Refuted(r) => {
-                span.note_str("outcome", "refuted");
-                return (ElemAnswer::Unsat(r), stats);
-            }
-            SaturationOutcome::Interrupted(_) => {
-                span.note_str("outcome", "interrupted");
-                return (ElemAnswer::Interrupted, stats);
-            }
-            SaturationOutcome::Saturated(_) | SaturationOutcome::Budget(_) => {
-                span.note_str("outcome", "no_refutation");
-            }
-        }
-    }
-
-    // Phase 2: enumerate candidate assignments in order of total index,
-    // mirroring the model finder's size-vector sweep.
-    let answer = elem_sweep(sys, cfg, guard, &rec, &mut stats);
-    (answer, stats)
-}
-
-/// The template sweep (phase 2 of [`solve_elem_guarded`]), spanned as
-/// `elem.sweep` so its budget shows up next to the refuter's.
-fn elem_sweep(
-    sys: &ChcSystem,
-    cfg: &ElemConfig,
-    guard: &Guard,
-    rec: &ringen_core::Recorder,
-    stats: &mut ElemStats,
-) -> ElemAnswer {
-    let mut span = rec.span("elem.sweep");
-    let answer = elem_sweep_inner(sys, cfg, guard, stats);
+    let mut span = guard.recorder().span("elem.sweep");
+    let answer = elem_sweep(sys, cfg, guard, &mut stats);
     span.note("assignments", stats.assignments as i64);
     span.note("clause_checks", stats.clause_checks as i64);
     span.note("cube_queries", stats.cube_queries as i64);
@@ -209,10 +193,10 @@ fn elem_sweep(
             ElemAnswer::Interrupted => "interrupted",
         },
     );
-    answer
+    (answer, stats)
 }
 
-fn elem_sweep_inner(
+fn elem_sweep(
     sys: &ChcSystem,
     cfg: &ElemConfig,
     guard: &Guard,
@@ -224,14 +208,9 @@ fn elem_sweep_inner(
     if sys.clauses.iter().any(|c| !c.exist_vars.is_empty()) {
         return ElemAnswer::Unknown;
     }
+    // With no predicates the only candidate is the empty assignment:
+    // Sat only if every clause's constraints are checked contradictory.
     let preds: Vec<PredId> = sys.rels.iter().collect();
-    if preds.is_empty() {
-        // No uninterpreted symbols: the system is a set of ground
-        // constraint clauses; saturation above already decided it.
-        return ElemAnswer::Sat(ElemInvariant {
-            formulas: BTreeMap::new(),
-        });
-    }
     let pools: Vec<Vec<ElemFormula>> = preds
         .iter()
         .map(|&p| candidates(&sys.sig, &sys.rels.decl(p).domain, &cfg.templates))

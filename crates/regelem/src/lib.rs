@@ -66,5 +66,6 @@ pub use formula::{RegCube, RegElemFormula, RegLiteral};
 pub use invariant::{check_inductive, check_inductive_in, RegElemCheck, RegElemInvariant};
 pub use lang::Lang;
 pub use solver::{
-    solve_regelem, solve_regelem_guarded, Provenance, RegElemAnswer, RegElemConfig, RegElemStats,
+    search_regelem_guarded, solve_regelem, solve_regelem_guarded, Provenance, RegElemAnswer,
+    RegElemConfig, RegElemStats,
 };

@@ -7,10 +7,10 @@
 //! subsumes both `Reg` and `Elem`. This solver realizes the
 //! combination in three phases:
 //!
-//! 1. **Regular phase** — the full RInGen pipeline (finite-model
-//!    finding). A success embeds via
+//! 1. **Regular phase** — the RInGen pipeline's search phase
+//!    (finite-model finding). A success embeds via
 //!    [`RegElemInvariant::from_regular`].
-//! 2. **Elementary phase** — the template solver of `ringen-elem`.
+//! 2. **Elementary phase** — the template sweep of `ringen-elem`.
 //!    A success embeds via [`RegElemInvariant::from_elem`].
 //! 3. **Combined phase** — genuinely mixed candidates `φ ∧ #i ∈ L`
 //!    with `φ` from the elementary template pool and `L` from the
@@ -19,17 +19,20 @@
 //!    the phase that solves programs like `EvenDiag`, whose only safe
 //!    inductive invariants live outside `Reg ∪ Elem ∪ SizeElem`.
 //!
-//! Unsafe systems are refuted up front by the shared bottom-up
-//! saturation engine, and every budget is a deterministic step count.
+//! Unsafe systems are refuted up front, once, by the refute phase every
+//! engine shares ([`ringen_core::refute`]); the three phases above are
+//! search only. Every budget is a deterministic step count.
 
 use std::collections::BTreeMap;
 
 use ringen_automata::AutStore;
 use ringen_chc::{ChcSystem, PredId};
-use ringen_core::saturation::{saturate_guarded, Refutation, SaturationConfig, SaturationOutcome};
-use ringen_core::{solve_guarded as solve_regular, Answer, Guard, Poller, RingenConfig};
+use ringen_core::saturation::{Refutation, SaturationConfig};
+use ringen_core::{
+    refute_guarded, search_guarded as search_regular, Answer, Guard, Poller, Refuted, RingenConfig,
+};
 use ringen_elem::search::for_each_composition;
-use ringen_elem::{candidates, solve_elem_guarded, ElemAnswer, ElemConfig, TemplateConfig};
+use ringen_elem::{candidates, search_elem_guarded, ElemAnswer, ElemConfig, TemplateConfig};
 use ringen_terms::{Term, VarId};
 
 use crate::dp::DpBudget;
@@ -170,10 +173,9 @@ pub fn solve_regelem(sys: &ChcSystem, cfg: &RegElemConfig) -> (RegElemAnswer, Re
     solve_regelem_guarded(sys, cfg, &Guard::new())
 }
 
-/// [`solve_regelem`] with cooperative cancellation: the guard is
-/// threaded into every phase — the refuter, the regular pipeline, the
-/// elementary sweep, and the combined-candidate sweep. A trip yields
-/// [`RegElemAnswer::Interrupted`] with partial statistics; the
+/// [`solve_regelem`] with cooperative cancellation: the shared refute
+/// phase ([`refute_guarded`]), then [`search_regelem_guarded`]. A trip
+/// yields [`RegElemAnswer::Interrupted`] with partial statistics; the
 /// automaton store never caches a partial fixpoint, so the work done
 /// so far stays sound.
 ///
@@ -185,47 +187,51 @@ pub fn solve_regelem_guarded(
     cfg: &RegElemConfig,
     guard: &Guard,
 ) -> (RegElemAnswer, RegElemStats) {
-    let mut store = AutStore::new();
-    let (answer, mut stats) = solve_regelem_with(sys, cfg, &mut store, guard);
-    stats.store = store.stats();
-    (answer, stats)
+    match refute_guarded(sys, &cfg.saturation, guard).0 {
+        Refuted::Unsat(r) => (RegElemAnswer::Unsat(r), RegElemStats::default()),
+        Refuted::Interrupted => (RegElemAnswer::Interrupted, RegElemStats::default()),
+        Refuted::NoRefutation => search_regelem_guarded(sys, cfg, guard),
+    }
 }
 
-fn solve_regelem_with(
+/// The search phase alone: the regular, elementary and combined
+/// phases, with no refutation attempt, so it never answers UNSAT. The
+/// regular and elementary phases are the other engines' search phases
+/// ([`ringen_core::search_guarded`], [`search_elem_guarded`]), so the
+/// whole solve runs the refuter at most once. The guard is threaded
+/// into every phase.
+///
+/// # Panics
+///
+/// Same conditions as [`solve_regelem`].
+pub fn search_regelem_guarded(
     sys: &ChcSystem,
     cfg: &RegElemConfig,
-    store: &mut AutStore,
     guard: &Guard,
 ) -> (RegElemAnswer, RegElemStats) {
     if let Err(e) = sys.well_sorted() {
         panic!("input system is not well-sorted: {e}");
     }
+    let mut store = AutStore::new();
     let mut stats = RegElemStats::default();
-    let rec = guard.recorder().clone();
+    let answer = search_phases(sys, cfg, &mut store, guard, &mut stats);
+    stats.store = store.stats();
+    (answer, stats)
+}
 
-    // Phase 0: refute.
-    {
-        let mut span = rec.span("regelem.refute");
-        let (outcome, _) = saturate_guarded(sys, &cfg.saturation, guard);
-        match outcome {
-            SaturationOutcome::Refuted(r) => {
-                span.note_str("outcome", "refuted");
-                return (RegElemAnswer::Unsat(r), stats);
-            }
-            SaturationOutcome::Interrupted(_) => {
-                span.note_str("outcome", "interrupted");
-                return (RegElemAnswer::Interrupted, stats);
-            }
-            SaturationOutcome::Saturated(_) | SaturationOutcome::Budget(_) => {
-                span.note_str("outcome", "no_refutation");
-            }
-        }
-    }
+fn search_phases(
+    sys: &ChcSystem,
+    cfg: &RegElemConfig,
+    store: &mut AutStore,
+    guard: &Guard,
+    stats: &mut RegElemStats,
+) -> RegElemAnswer {
+    let rec = guard.recorder().clone();
 
     // Phase 1: regular invariants by finite-model finding.
     if let Some(rcfg) = &cfg.regular {
         let mut span = rec.span("regelem.regular");
-        let (answer, _) = solve_regular(sys, rcfg, store, guard);
+        let (answer, _) = search_regular(sys, rcfg, store, guard);
         match answer {
             Answer::Sat(sat) => {
                 span.note_str("outcome", "sat");
@@ -242,22 +248,16 @@ fn solve_regelem_with(
                     .iter()
                     .filter_map(|p| inv.formulas.get(&p).map(|f| (p, f.clone())))
                     .collect();
-                return (
-                    RegElemAnswer::Sat(
-                        Box::new(RegElemInvariant { formulas }),
-                        Provenance::Regular,
-                    ),
-                    stats,
+                return RegElemAnswer::Sat(
+                    Box::new(RegElemInvariant { formulas }),
+                    Provenance::Regular,
                 );
-            }
-            Answer::Unsat(r) => {
-                span.note_str("outcome", "unsat");
-                return (RegElemAnswer::Unsat(r), stats);
             }
             Answer::Interrupted => {
                 span.note_str("outcome", "interrupted");
-                return (RegElemAnswer::Interrupted, stats);
+                return RegElemAnswer::Interrupted;
             }
+            Answer::Unsat(_) => unreachable!("a search phase never refutes"),
             Answer::Unknown(_) => span.note_str("outcome", "unknown"),
         }
     }
@@ -265,33 +265,27 @@ fn solve_regelem_with(
     // Phase 2: elementary invariants.
     if let Some(ecfg) = &cfg.elementary {
         let mut span = rec.span("regelem.elem");
-        let (answer, _) = solve_elem_guarded(sys, ecfg, guard);
+        let (answer, _) = search_elem_guarded(sys, ecfg, guard);
         match answer {
             ElemAnswer::Sat(inv) => {
                 span.note_str("outcome", "sat");
-                return (
-                    RegElemAnswer::Sat(
-                        Box::new(RegElemInvariant::from_elem(&inv)),
-                        Provenance::Elementary,
-                    ),
-                    stats,
+                return RegElemAnswer::Sat(
+                    Box::new(RegElemInvariant::from_elem(&inv)),
+                    Provenance::Elementary,
                 );
-            }
-            ElemAnswer::Unsat(r) => {
-                span.note_str("outcome", "unsat");
-                return (RegElemAnswer::Unsat(r), stats);
             }
             ElemAnswer::Interrupted => {
                 span.note_str("outcome", "interrupted");
-                return (RegElemAnswer::Interrupted, stats);
+                return RegElemAnswer::Interrupted;
             }
+            ElemAnswer::Unsat(_) => unreachable!("a search phase never refutes"),
             ElemAnswer::Unknown => span.note_str("outcome", "unknown"),
         }
     }
 
     // Phase 3: combined candidates.
     let mut span = rec.span("regelem.combined");
-    let answer = regelem_combined(sys, cfg, store, guard, &mut stats);
+    let answer = regelem_combined(sys, cfg, store, guard, stats);
     span.note("assignments", stats.assignments as i64);
     span.note("langs", stats.langs as i64);
     span.note("pool_total", stats.pool_total as i64);
@@ -304,10 +298,10 @@ fn solve_regelem_with(
             RegElemAnswer::Interrupted => "interrupted",
         },
     );
-    (answer, stats)
+    answer
 }
 
-/// Phase 3 of [`solve_regelem_guarded`]: the genuinely mixed
+/// Phase 3 of [`search_regelem_guarded`]: the genuinely mixed
 /// template-plus-membership sweep.
 fn regelem_combined(
     sys: &ChcSystem,
@@ -320,15 +314,9 @@ fn regelem_combined(
     if sys.clauses.iter().any(|c| !c.exist_vars.is_empty()) {
         return RegElemAnswer::Unknown;
     }
+    // With no predicates the only candidate is the empty invariant:
+    // Sat only if every clause's constraints are checked contradictory.
     let preds: Vec<PredId> = sys.rels.iter().collect();
-    if preds.is_empty() {
-        return RegElemAnswer::Sat(
-            Box::new(RegElemInvariant {
-                formulas: BTreeMap::new(),
-            }),
-            Provenance::Elementary,
-        );
-    }
     let pools: Vec<Vec<RegElemFormula>> = preds
         .iter()
         .map(|&p| {

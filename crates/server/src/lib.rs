@@ -49,13 +49,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use ringen_automata::AutStore;
 use ringen_chc::{parse_str, to_smtlib, ChcSystem};
-use ringen_core::portfolio::{
-    race, Engine, EngineVerdict, PortfolioStats, RaceConfig, RaceOutcome,
-};
-use ringen_core::{solve_guarded, Answer, RingenConfig};
-use ringen_elem::{solve_elem_guarded, ElemAnswer, ElemConfig};
+use ringen_core::portfolio::{EngineVerdict, PortfolioStats, RaceConfig, RaceOutcome};
 use ringen_obs::json::Json;
 use ringen_obs::report::{Section, SolveReport};
 use ringen_obs::Trace;
@@ -63,8 +58,10 @@ use ringen_parallel::{
     deadline_ms_from_env, panic_message, FaultPlan, FaultStats, Faults, Guard, ParallelConfig,
     Pool, Recorder, RecorderLimits,
 };
-use ringen_regelem::{solve_regelem_guarded, RegElemAnswer, RegElemConfig};
-use ringen_sizeelem::{solve_size_elem_guarded, SizeElemAnswer, SizeElemConfig};
+
+mod entrants;
+
+pub use entrants::{EngineAnswer, EngineKind, Entrants};
 
 /// Schema tag on [`HealthSnapshot::to_json`] documents.
 pub const HEALTH_SCHEMA: &str = "ringen-server-health-v1";
@@ -81,39 +78,6 @@ pub const DEFAULT_TRACE_RING: usize = 4096;
 /// because a narrowed engine set may otherwise inherit a divergent
 /// sweep (Prop. 11's non-regular diagonal) with nobody left to win.
 pub const DEFAULT_QUERY_DEADLINE: Duration = Duration::from_secs(10);
-
-/// The four portfolio entrants, in default racing order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineKind {
-    /// Regular invariants by finite-model finding (the paper's tool).
-    Fmf,
-    /// Elementary templates.
-    Elem,
-    /// Size-extended elementary templates.
-    SizeElem,
-    /// Combined template-plus-membership search.
-    RegElem,
-}
-
-impl EngineKind {
-    /// Every entrant, in default order.
-    pub const ALL: [EngineKind; 4] = [
-        EngineKind::Fmf,
-        EngineKind::Elem,
-        EngineKind::SizeElem,
-        EngineKind::RegElem,
-    ];
-
-    /// The racer's span/report name for this entrant.
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineKind::Fmf => "fmf",
-            EngineKind::Elem => "elem",
-            EngineKind::SizeElem => "sizeelem",
-            EngineKind::RegElem => "regelem",
-        }
-    }
-}
 
 /// A definitive, memoizable query answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -255,14 +219,8 @@ pub struct ServerConfig {
     pub parallel: ParallelConfig,
     /// Worker pool for each query's internal race.
     pub race_parallel: ParallelConfig,
-    /// Budgets for the regular-invariant entrant.
-    pub fmf: RingenConfig,
-    /// Budgets for the elementary entrant.
-    pub elem: ElemConfig,
-    /// Budgets for the size-elementary entrant.
-    pub sizeelem: SizeElemConfig,
-    /// Budgets for the combined entrant.
-    pub regelem: RegElemConfig,
+    /// The entrants' budgets.
+    pub entrants: Entrants,
     /// Deterministic fault-injection plan armed on every attempt.
     pub faults: FaultPlan,
     /// Span capacity of each per-query trace ring.
@@ -282,10 +240,7 @@ impl Default for ServerConfig {
             // Default (finite) engine budgets, unlike the standalone
             // portfolio's racing budgets: a resident service prefers a
             // terminating Unknown over an open-ended sweep.
-            fmf: RingenConfig::default(),
-            elem: ElemConfig::default(),
-            sizeelem: SizeElemConfig::default(),
-            regelem: RegElemConfig::default(),
+            entrants: Entrants::default(),
             faults: FaultPlan::default(),
             trace_ring: DEFAULT_TRACE_RING,
         }
@@ -737,7 +692,7 @@ impl SolveServer {
         &self,
         sys: &ChcSystem,
         kinds: &[EngineKind],
-    ) -> Result<(RaceOutcome<()>, PortfolioStats, Trace), String> {
+    ) -> Result<(RaceOutcome<EngineAnswer>, PortfolioStats, Trace), String> {
         let recorder = Recorder::with_limits(RecorderLimits {
             ring: Some(self.cfg.trace_ring),
             sample: None,
@@ -755,52 +710,12 @@ impl SolveServer {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut span = guard.recorder().span("solve");
             span.note("entrants", kinds.len() as i64);
-            let entrants = self.entrants(sys, kinds);
-            race(entrants, &race_cfg, &guard)
+            self.cfg.entrants.race(sys, kinds, &race_cfg, &guard)
         }));
         match outcome {
             Ok((outcome, stats)) => Ok((outcome, stats, recorder.snapshot())),
             Err(payload) => Err(panic_message(payload.as_ref())),
         }
-    }
-
-    fn entrants<'a>(&'a self, sys: &'a ChcSystem, kinds: &[EngineKind]) -> Vec<Engine<'a, ()>> {
-        kinds
-            .iter()
-            .map(|kind| match kind {
-                EngineKind::Fmf => {
-                    let cfg = &self.cfg.fmf;
-                    Engine::new("fmf", move |g: &Guard| {
-                        // Per-attempt store: quarantine must be able to
-                        // discard it without touching shared state.
-                        let mut store = AutStore::new();
-                        let (answer, _) = solve_guarded(sys, cfg, &mut store, g);
-                        (fmf_verdict(&answer), ())
-                    })
-                }
-                EngineKind::Elem => {
-                    let cfg = &self.cfg.elem;
-                    Engine::new("elem", move |g: &Guard| {
-                        let (answer, _) = solve_elem_guarded(sys, cfg, g);
-                        (elem_verdict(&answer), ())
-                    })
-                }
-                EngineKind::SizeElem => {
-                    let cfg = &self.cfg.sizeelem;
-                    Engine::new("sizeelem", move |g: &Guard| {
-                        let (answer, _) = solve_size_elem_guarded(sys, cfg, g);
-                        (sizeelem_verdict(&answer), ())
-                    })
-                }
-                EngineKind::RegElem => {
-                    let cfg = &self.cfg.regelem;
-                    Engine::new("regelem", move |g: &Guard| {
-                        let (answer, _) = solve_regelem_guarded(sys, cfg, g);
-                        (regelem_verdict(&answer), ())
-                    })
-                }
-            })
-            .collect()
     }
 
     fn memo_put(&self, canonical: &str, verdict: QueryVerdict) {
@@ -827,42 +742,6 @@ impl SolveServer {
         if !wait.is_zero() {
             std::thread::sleep(wait);
         }
-    }
-}
-
-fn fmf_verdict(a: &Answer) -> EngineVerdict {
-    match a {
-        Answer::Sat(_) => EngineVerdict::Sat,
-        Answer::Unsat(_) => EngineVerdict::Unsat,
-        Answer::Unknown(_) => EngineVerdict::Unknown,
-        Answer::Interrupted => EngineVerdict::Interrupted,
-    }
-}
-
-fn elem_verdict(a: &ElemAnswer) -> EngineVerdict {
-    match a {
-        ElemAnswer::Sat(_) => EngineVerdict::Sat,
-        ElemAnswer::Unsat(_) => EngineVerdict::Unsat,
-        ElemAnswer::Unknown => EngineVerdict::Unknown,
-        ElemAnswer::Interrupted => EngineVerdict::Interrupted,
-    }
-}
-
-fn sizeelem_verdict(a: &SizeElemAnswer) -> EngineVerdict {
-    match a {
-        SizeElemAnswer::Sat(_) => EngineVerdict::Sat,
-        SizeElemAnswer::Unsat(_) => EngineVerdict::Unsat,
-        SizeElemAnswer::Unknown => EngineVerdict::Unknown,
-        SizeElemAnswer::Interrupted => EngineVerdict::Interrupted,
-    }
-}
-
-fn regelem_verdict(a: &RegElemAnswer) -> EngineVerdict {
-    match a {
-        RegElemAnswer::Sat(..) => EngineVerdict::Sat,
-        RegElemAnswer::Unsat(_) => EngineVerdict::Unsat,
-        RegElemAnswer::Unknown => EngineVerdict::Unknown,
-        RegElemAnswer::Interrupted => EngineVerdict::Interrupted,
     }
 }
 

@@ -43,6 +43,6 @@ pub use lia::{check_lia, LiaConfig, LiaProblem, LiaSat, LinAtom, LinOp, ModAtom}
 pub use linear::{LinearSet, PeriodicSet};
 pub use pumping::{size_elem_pump, term_of_size};
 pub use solver::{
-    solve_size_elem, solve_size_elem_guarded, SizeElemAnswer, SizeElemConfig, SizeElemInvariant,
-    SizeElemStats,
+    search_size_elem_guarded, solve_size_elem, solve_size_elem_guarded, SizeElemAnswer,
+    SizeElemConfig, SizeElemInvariant, SizeElemStats,
 };

@@ -138,11 +138,11 @@ impl PeriodicSet {
             };
         }
         // Find the smallest T with membership periodic from T onward
-        // (witnessed up to the probe bound).
+        // (witnessed up to the probe bound). Walking down, every size
+        // above `t` has already passed, so only `t` itself is checked.
         let mut tail_start = 0;
         for t in (0..PROBE / 2).rev() {
-            let periodic = (t..PROBE / 2).all(|k| set.contains(k) == set.contains(k + p));
-            if periodic {
+            if set.contains(t) == set.contains(t + p) {
                 tail_start = t;
             } else {
                 break;

@@ -17,8 +17,8 @@
 use std::collections::BTreeMap;
 
 use ringen_chc::{ChcSystem, Clause, Constraint, PredId};
-use ringen_core::saturation::{saturate_guarded, Refutation, SaturationConfig, SaturationOutcome};
-use ringen_core::{Guard, Poller};
+use ringen_core::saturation::{Refutation, SaturationConfig};
+use ringen_core::{refute_guarded, Guard, Poller, Refuted};
 use ringen_elem::search::for_each_composition;
 use ringen_elem::{check_cube as check_elem_cube, CubeSat, Literal, TemplateConfig};
 use ringen_terms::{GroundTerm, Signature, SizeSet, SortId, Term, VarContext, VarId};
@@ -165,10 +165,11 @@ pub fn solve_size_elem(sys: &ChcSystem, cfg: &SizeElemConfig) -> (SizeElemAnswer
     solve_size_elem_guarded(sys, cfg, &Guard::new())
 }
 
-/// [`solve_size_elem`] with cooperative cancellation: the guard is
-/// threaded into the refuter and polled once per candidate assignment
-/// of the template sweep. A trip yields [`SizeElemAnswer::Interrupted`]
-/// with the statistics accumulated so far.
+/// [`solve_size_elem`] with cooperative cancellation: the shared
+/// refute phase ([`refute_guarded`]), then
+/// [`search_size_elem_guarded`]. A trip yields
+/// [`SizeElemAnswer::Interrupted`] with the statistics accumulated so
+/// far.
 ///
 /// # Panics
 ///
@@ -178,50 +179,46 @@ pub fn solve_size_elem_guarded(
     cfg: &SizeElemConfig,
     guard: &Guard,
 ) -> (SizeElemAnswer, SizeElemStats) {
+    match refute_guarded(sys, &cfg.saturation, guard).0 {
+        Refuted::Unsat(r) => (SizeElemAnswer::Unsat(r), SizeElemStats::default()),
+        Refuted::Interrupted => (SizeElemAnswer::Interrupted, SizeElemStats::default()),
+        Refuted::NoRefutation => search_size_elem_guarded(sys, cfg, guard),
+    }
+}
+
+/// The search phase alone: the template sweep, with no refutation
+/// attempt, so it never answers UNSAT. The guard is polled once per
+/// candidate assignment.
+///
+/// # Panics
+///
+/// Same conditions as [`solve_size_elem`].
+pub fn search_size_elem_guarded(
+    sys: &ChcSystem,
+    cfg: &SizeElemConfig,
+    guard: &Guard,
+) -> (SizeElemAnswer, SizeElemStats) {
     if let Err(e) = sys.well_sorted() {
         panic!("input system is not well-sorted: {e}");
     }
     let mut stats = SizeElemStats::default();
-    let rec = guard.recorder().clone();
-
-    {
-        let mut span = rec.span("sizeelem.refute");
-        let (outcome, _) = saturate_guarded(sys, &cfg.saturation, guard);
-        match outcome {
-            SaturationOutcome::Refuted(r) => {
-                span.note_str("outcome", "refuted");
-                return (SizeElemAnswer::Unsat(r), stats);
-            }
-            SaturationOutcome::Interrupted(_) => {
-                span.note_str("outcome", "interrupted");
-                return (SizeElemAnswer::Interrupted, stats);
-            }
-            SaturationOutcome::Saturated(_) | SaturationOutcome::Budget(_) => {
-                span.note_str("outcome", "no_refutation");
-            }
-        }
-    }
-
-    let answer = {
-        let mut span = rec.span("sizeelem.sweep");
-        let answer = size_elem_sweep(sys, cfg, guard, &mut stats);
-        span.note("assignments", stats.assignments as i64);
-        span.note("cube_queries", stats.cube_queries as i64);
-        span.note_str(
-            "outcome",
-            match &answer {
-                SizeElemAnswer::Sat(_) => "sat",
-                SizeElemAnswer::Unsat(_) => "unsat",
-                SizeElemAnswer::Unknown => "unknown",
-                SizeElemAnswer::Interrupted => "interrupted",
-            },
-        );
-        answer
-    };
+    let mut span = guard.recorder().span("sizeelem.sweep");
+    let answer = size_elem_sweep(sys, cfg, guard, &mut stats);
+    span.note("assignments", stats.assignments as i64);
+    span.note("cube_queries", stats.cube_queries as i64);
+    span.note_str(
+        "outcome",
+        match &answer {
+            SizeElemAnswer::Sat(_) => "sat",
+            SizeElemAnswer::Unsat(_) => "unsat",
+            SizeElemAnswer::Unknown => "unknown",
+            SizeElemAnswer::Interrupted => "interrupted",
+        },
+    );
     (answer, stats)
 }
 
-/// The template sweep (phase 2 of [`solve_size_elem_guarded`]).
+/// The template sweep of [`search_size_elem_guarded`].
 fn size_elem_sweep(
     sys: &ChcSystem,
     cfg: &SizeElemConfig,
@@ -234,12 +231,9 @@ fn size_elem_sweep(
     if sys.clauses.iter().any(|c| !c.exist_vars.is_empty()) {
         return SizeElemAnswer::Unknown;
     }
+    // With no predicates the only candidate is the empty assignment:
+    // Sat only if every clause's constraints are checked contradictory.
     let preds: Vec<PredId> = sys.rels.iter().collect();
-    if preds.is_empty() {
-        return SizeElemAnswer::Sat(SizeElemInvariant {
-            formulas: BTreeMap::new(),
-        });
-    }
     let pools: Vec<Vec<SizeElemFormula>> = preds
         .iter()
         .map(|&p| candidates(&sys.sig, &sys.rels.decl(p).domain, cfg))

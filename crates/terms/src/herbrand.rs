@@ -177,6 +177,8 @@ pub fn count_terms_by_size(sig: &Signature, sort: SortId, max_size: usize, cap: 
 fn convolve(counts: &[Vec<u64>], domain: &[SortId], budget: usize, cap: u64) -> u64 {
     match domain.split_first() {
         None => u64::from(budget == 0),
+        // The last argument takes the whole remaining budget.
+        Some((last, [])) => counts[last.index()][budget],
         Some((first, rest)) => {
             let mut total: u64 = 0;
             for k in 0..=budget {

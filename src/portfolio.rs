@@ -6,10 +6,25 @@
 //! chained phases of `ringen_regelem::solve_regelem`: each
 //! representation class gets its own engine with effectively unbounded
 //! sweep budgets, so a loser keeps searching until the winner's cancel
-//! (or the per-race deadline) trips its [`Guard`]. The generic harness
-//! lives in [`ringen_core::portfolio`]; this module only supplies the
-//! four entrants and maps their answer enums onto the racer's
-//! verdicts.
+//! (or the per-race deadline) trips its [`Guard`].
+//!
+//! The entrants — `fmf`, `elem`, `sizeelem`, `regelem` — share one
+//! refute phase. The first entrant to start runs the bounded
+//! saturation refuter (with the `fmf` budgets' saturation config) under
+//! its own guard while the others wait on a per-race cell; a
+//! refutation is replay-checked once and every entrant answers UNSAT
+//! with it. Otherwise each entrant runs only its engine's search
+//! phase: the finite-model search, the elementary and size-elementary
+//! template sweeps, and `RegElem`'s regular, elementary and combined
+//! phases. An entrant that was cancelled or panicked while refuting
+//! leaves the cell to the next one, and no search starts once the race
+//! has been cancelled.
+//!
+//! The generic harness lives in [`ringen_core::portfolio`], the shared
+//! refute phase in [`ringen_core::refute`], and the entrant definition
+//! in [`Entrants`] (`ringen_server`), which the solve service races
+//! too; this module only adds the racing configuration and the
+//! overall verdict.
 //!
 //! ```no_run
 //! use ringen::portfolio::{solve_portfolio, PortfolioConfig};
@@ -24,29 +39,13 @@
 
 use std::time::Duration;
 
-use ringen_automata::AutStore;
 use ringen_chc::ChcSystem;
-use ringen_core::portfolio::{race, Engine, EngineVerdict, RaceConfig, RaceOutcome};
-use ringen_core::{solve_guarded, Answer, Guard, RingenConfig};
-use ringen_elem::{solve_elem_guarded, ElemAnswer, ElemConfig};
+use ringen_core::portfolio::{EngineVerdict, RaceConfig, RaceOutcome};
+use ringen_core::Guard;
 use ringen_parallel::ParallelConfig;
-use ringen_regelem::{solve_regelem_guarded, RegElemAnswer, RegElemConfig};
-use ringen_sizeelem::{solve_size_elem_guarded, SizeElemAnswer, SizeElemConfig};
 
 pub use ringen_core::portfolio::{EngineReport, EngineStatus, PortfolioStats};
-
-/// The winning entrant's full answer, tagged by engine.
-#[derive(Debug)]
-pub enum EngineAnswer {
-    /// The paper's tool: regular invariants by finite-model finding.
-    Fmf(Answer),
-    /// Elementary templates (the Spacer role).
-    Elem(ElemAnswer),
-    /// Size-extended elementary templates (the Eldarica role).
-    SizeElem(SizeElemAnswer),
-    /// The combined template-plus-membership search.
-    RegElem(RegElemAnswer),
-}
+pub use ringen_server::{EngineAnswer, EngineKind, Entrants};
 
 /// The race's overall verdict.
 #[derive(Debug)]
@@ -84,12 +83,9 @@ impl PortfolioAnswer {
     }
 }
 
-/// Number of entrants in the race.
-const ENGINES: usize = 4;
-
 /// Budgets and knobs for [`solve_portfolio`].
 ///
-/// The engine configurations default to *racing* budgets: sweep limits
+/// The engine budgets default to [`Entrants::racing`]: sweep limits
 /// high enough that an entrant effectively runs until cancelled. A
 /// race with one worker thread and no deadline therefore degenerates to
 /// the sequential chain *and* inherits its divergence — bound it with
@@ -107,43 +103,21 @@ pub struct PortfolioConfig {
     /// Worker pool for the entrants (the engines' inner sweeps read
     /// their own `parallel` knobs independently).
     pub parallel: ParallelConfig,
-    /// Budgets for the regular-invariant entrant.
-    pub fmf: RingenConfig,
-    /// Budgets for the elementary entrant.
-    pub elem: ElemConfig,
-    /// Budgets for the size-elementary entrant.
-    pub sizeelem: SizeElemConfig,
-    /// Budgets for the combined entrant.
-    pub regelem: RegElemConfig,
+    /// The entrants' budgets.
+    pub entrants: Entrants,
 }
 
 impl Default for PortfolioConfig {
     fn default() -> Self {
-        let mut fmf = RingenConfig::default();
-        // The model-size sweep grows exponentially; 64 total domain
-        // elements is "until cancelled" in practice.
-        fmf.finder.max_total_size = 64;
         let parallel = if std::env::var_os("RINGEN_THREADS").is_some() {
             ParallelConfig::from_env()
         } else {
-            ParallelConfig::with_threads(ENGINES)
+            ParallelConfig::with_threads(EngineKind::ALL.len())
         };
         PortfolioConfig {
             deadline: None,
             parallel,
-            fmf,
-            elem: ElemConfig {
-                max_assignments: u64::MAX,
-                ..ElemConfig::default()
-            },
-            sizeelem: SizeElemConfig {
-                max_assignments: u64::MAX,
-                ..SizeElemConfig::default()
-            },
-            regelem: RegElemConfig {
-                max_assignments: u64::MAX,
-                ..RegElemConfig::default()
-            },
+            entrants: Entrants::racing(),
         }
     }
 }
@@ -156,42 +130,6 @@ impl PortfolioConfig {
             deadline: ringen_core::deadline_ms_from_env().map(Duration::from_millis),
             ..PortfolioConfig::default()
         }
-    }
-}
-
-fn fmf_verdict(a: &Answer) -> EngineVerdict {
-    match a {
-        Answer::Sat(_) => EngineVerdict::Sat,
-        Answer::Unsat(_) => EngineVerdict::Unsat,
-        Answer::Unknown(_) => EngineVerdict::Unknown,
-        Answer::Interrupted => EngineVerdict::Interrupted,
-    }
-}
-
-fn elem_verdict(a: &ElemAnswer) -> EngineVerdict {
-    match a {
-        ElemAnswer::Sat(_) => EngineVerdict::Sat,
-        ElemAnswer::Unsat(_) => EngineVerdict::Unsat,
-        ElemAnswer::Unknown => EngineVerdict::Unknown,
-        ElemAnswer::Interrupted => EngineVerdict::Interrupted,
-    }
-}
-
-fn sizeelem_verdict(a: &SizeElemAnswer) -> EngineVerdict {
-    match a {
-        SizeElemAnswer::Sat(_) => EngineVerdict::Sat,
-        SizeElemAnswer::Unsat(_) => EngineVerdict::Unsat,
-        SizeElemAnswer::Unknown => EngineVerdict::Unknown,
-        SizeElemAnswer::Interrupted => EngineVerdict::Interrupted,
-    }
-}
-
-fn regelem_verdict(a: &RegElemAnswer) -> EngineVerdict {
-    match a {
-        RegElemAnswer::Sat(..) => EngineVerdict::Sat,
-        RegElemAnswer::Unsat(_) => EngineVerdict::Unsat,
-        RegElemAnswer::Unknown => EngineVerdict::Unknown,
-        RegElemAnswer::Interrupted => EngineVerdict::Interrupted,
     }
 }
 
@@ -210,32 +148,11 @@ pub fn solve_portfolio_guarded(
     cfg: &PortfolioConfig,
     guard: &Guard,
 ) -> (PortfolioAnswer, PortfolioStats) {
-    let engines: Vec<Engine<'_, EngineAnswer>> = vec![
-        Engine::new("fmf", |g: &Guard| {
-            // Each entrant owns its store: a cancelled engine must not
-            // leave a shared store mid-solve.
-            let mut store = AutStore::new();
-            let (answer, _) = solve_guarded(sys, &cfg.fmf, &mut store, g);
-            (fmf_verdict(&answer), EngineAnswer::Fmf(answer))
-        }),
-        Engine::new("elem", |g: &Guard| {
-            let (answer, _) = solve_elem_guarded(sys, &cfg.elem, g);
-            (elem_verdict(&answer), EngineAnswer::Elem(answer))
-        }),
-        Engine::new("sizeelem", |g: &Guard| {
-            let (answer, _) = solve_size_elem_guarded(sys, &cfg.sizeelem, g);
-            (sizeelem_verdict(&answer), EngineAnswer::SizeElem(answer))
-        }),
-        Engine::new("regelem", |g: &Guard| {
-            let (answer, _) = solve_regelem_guarded(sys, &cfg.regelem, g);
-            (regelem_verdict(&answer), EngineAnswer::RegElem(answer))
-        }),
-    ];
     let race_cfg = RaceConfig {
         deadline: cfg.deadline,
         parallel: cfg.parallel.clone(),
     };
-    let (outcome, stats) = race(engines, &race_cfg, guard);
+    let (outcome, stats) = cfg.entrants.race(sys, &EngineKind::ALL, &race_cfg, guard);
     let answer = match outcome {
         RaceOutcome::Decided { verdict, value, .. } => match verdict {
             EngineVerdict::Sat => PortfolioAnswer::Sat(value),
