@@ -1102,8 +1102,9 @@ mod tests {
             .map(|&id| a.run_pooled(&pool, id, &mut cache))
             .collect();
         for threads in [1usize, 2, 4, 8] {
-            let par =
-                ringen_parallel::Pool::new(&ringen_parallel::ParallelConfig::with_threads(threads));
+            let par = ringen_parallel::Pool::persistent(
+                &ringen_parallel::ParallelConfig::with_threads(threads),
+            );
             assert_eq!(
                 a.run_pooled_batch(&pool, &ids, &par),
                 expect,
@@ -1111,7 +1112,8 @@ mod tests {
             );
         }
         // Degenerate batches.
-        let par = ringen_parallel::Pool::new(&ringen_parallel::ParallelConfig::with_threads(4));
+        let par =
+            ringen_parallel::Pool::persistent(&ringen_parallel::ParallelConfig::with_threads(4));
         assert_eq!(a.run_pooled_batch(&pool, &[], &par), Vec::new());
         assert_eq!(a.run_pooled_batch(&pool, &ids[..1], &par), expect[..1]);
     }

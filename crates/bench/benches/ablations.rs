@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
+//! Ablation benches for the solver's main design choices:
 //!
 //! * symmetry breaking in the model finder (§4.2 substrate);
 //! * the §4.4 disequality transformation (diseq-free vs diseq-heavy);
@@ -12,7 +12,7 @@ use ringen_automata::Nfta;
 use ringen_benchgen::{programs, shapes};
 use ringen_core::preprocess;
 use ringen_core::saturation::{saturate, SaturationConfig};
-use ringen_elem::ElemConfig;
+use ringen_elem::ElemSearchConfig;
 use ringen_fmf::{find_model, FinderConfig};
 use ringen_induction::{solve_induction, InductionConfig};
 use ringen_regelem::{solve_regelem, RegElemConfig};
@@ -105,9 +105,9 @@ fn bench_hybrid_phase_order(c: &mut Criterion) {
     let regular_first = RegElemConfig::quick();
     let elementary_first = RegElemConfig {
         regular: None,
-        elementary: Some(ElemConfig {
+        elementary: Some(ElemSearchConfig {
             max_assignments: 2_000,
-            ..ElemConfig::quick()
+            ..ElemSearchConfig::quick()
         }),
         ..RegElemConfig::quick()
     };

@@ -18,8 +18,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use criterion::{BenchmarkId, Criterion, Record};
 use ringen_automata::reference::{RefDfta, RefTupleAutomaton};
 use ringen_automata::{AutStore, Dfta, PoolRunCache, RunCache, StateId, TupleAutomaton};
-use ringen_core::saturation::{saturate, SaturationConfig, SaturationOutcome};
-use ringen_parallel::ParallelConfig;
+use ringen_core::saturation::{saturate, saturate_guarded, SaturationConfig, SaturationOutcome};
+use ringen_parallel::Guard;
 use ringen_terms::signature_helpers::{nat_signature, tree_signature};
 use ringen_terms::{herbrand, FuncId, GroundTerm, Signature, TermId, TermPool};
 use rustc_hash::FxHashSet;
@@ -335,17 +335,17 @@ fn bench_parallel_saturation(c: &mut Criterion) {
     }
     let sys = ringen_chc::parse_str(&src).expect("join system parses");
     // Heavy enough that a round's matching work dwarfs the per-round
-    // worker spawn cost (which is all the "parallel" engine can lose on
-    // a single-core host).
-    let cfg = |threads: usize| SaturationConfig {
+    // hand-off to the executor's threads (which is all the "parallel"
+    // engine can lose on a single-core host).
+    let cfg = SaturationConfig {
         max_facts: 8_000,
         max_term_height: 20,
-        parallel: ParallelConfig::with_threads(threads),
         ..SaturationConfig::default()
     };
+    let width = |threads: usize| Guard::new().with_threads(threads);
     // The engines must agree before their timings are comparable.
-    let (seq, seq_stats) = saturate(&sys, &cfg(1));
-    let (par, par_stats) = saturate(&sys, &cfg(4));
+    let (seq, seq_stats) = saturate_guarded(&sys, &cfg, &width(1));
+    let (par, par_stats) = saturate_guarded(&sys, &cfg, &width(4));
     match (&seq, &par) {
         (SaturationOutcome::Saturated(a), SaturationOutcome::Saturated(b)) => {
             assert_eq!(
@@ -359,12 +359,12 @@ fn bench_parallel_saturation(c: &mut Criterion) {
     }
 
     group.bench_function(BenchmarkId::new("interned", "joins/4t"), |b| {
-        let cfg = cfg(4);
-        b.iter(|| saturate(std::hint::black_box(&sys), &cfg))
+        let guard = width(4);
+        b.iter(|| saturate_guarded(std::hint::black_box(&sys), &cfg, &guard))
     });
     group.bench_function(BenchmarkId::new("reference", "joins/4t"), |b| {
-        let cfg = cfg(1);
-        b.iter(|| saturate(std::hint::black_box(&sys), &cfg))
+        let guard = width(1);
+        b.iter(|| saturate_guarded(std::hint::black_box(&sys), &cfg, &guard))
     });
     group.finish();
 }
@@ -402,12 +402,12 @@ fn bench_semi_naive_saturation(c: &mut Criterion) {
         max_rounds: 160,
         max_term_height: 200,
         semi_naive: semi,
-        parallel: ParallelConfig::with_threads(1),
         ..SaturationConfig::default()
     };
+    let inline = Guard::new().with_threads(1);
     // The engines must agree before their timings are comparable.
-    let (semi, semi_stats) = saturate(&sys, &cfg(true));
-    let (naive, naive_stats) = saturate(&sys, &cfg(false));
+    let (semi, semi_stats) = saturate_guarded(&sys, &cfg(true), &inline);
+    let (naive, naive_stats) = saturate_guarded(&sys, &cfg(false), &inline);
     match (&semi, &naive) {
         (SaturationOutcome::Budget(a), SaturationOutcome::Budget(b))
         | (SaturationOutcome::Saturated(a), SaturationOutcome::Saturated(b)) => {
@@ -428,11 +428,11 @@ fn bench_semi_naive_saturation(c: &mut Criterion) {
 
     group.bench_function(BenchmarkId::new("interned", "chain/240"), |b| {
         let cfg = cfg(true);
-        b.iter(|| saturate(std::hint::black_box(&sys), &cfg))
+        b.iter(|| saturate_guarded(std::hint::black_box(&sys), &cfg, &inline))
     });
     group.bench_function(BenchmarkId::new("reference", "chain/240"), |b| {
         let cfg = cfg(false);
-        b.iter(|| saturate(std::hint::black_box(&sys), &cfg))
+        b.iter(|| saturate_guarded(std::hint::black_box(&sys), &cfg, &inline))
     });
     group.finish();
 }
@@ -447,7 +447,7 @@ fn bench_semi_naive_saturation(c: &mut Criterion) {
 /// pays each per-coordinate refutation once and dispatches the repeats
 /// by unit propagation.
 fn bench_fmf_incremental(c: &mut Criterion) {
-    use ringen_fmf::{find_model, FinderConfig, FmfOutcome};
+    use ringen_fmf::{find_model_guarded, FinderConfig, FmfOutcome};
 
     let mut group = c.benchmark_group("fmf_incremental");
     group.sample_size(10);
@@ -458,12 +458,14 @@ fn bench_fmf_incremental(c: &mut Criterion) {
         max_total_size: 9,
         incremental,
         minimize: false,
-        parallel: ParallelConfig::with_threads(1),
         ..FinderConfig::default()
     };
+    let inline = Guard::new().with_threads(1);
     // The sweeps must agree before their timings are comparable.
-    let (inc, inc_stats) = find_model(&sys, &cfg(true)).expect("dual ring is supported");
-    let (one, one_stats) = find_model(&sys, &cfg(false)).expect("dual ring is supported");
+    let (inc, inc_stats) =
+        find_model_guarded(&sys, &cfg(true), &inline).expect("dual ring is supported");
+    let (one, one_stats) =
+        find_model_guarded(&sys, &cfg(false), &inline).expect("dual ring is supported");
     assert!(
         matches!(inc, FmfOutcome::Exhausted) && matches!(one, FmfOutcome::Exhausted),
         "dual_phase_ring(6, 5) must exhaust a total budget of 9 in both sweep modes"
@@ -481,11 +483,11 @@ fn bench_fmf_incremental(c: &mut Criterion) {
 
     group.bench_function(BenchmarkId::new("interned", "dual_ring/6+5/T9"), |b| {
         let cfg = cfg(true);
-        b.iter(|| find_model(std::hint::black_box(&sys), &cfg))
+        b.iter(|| find_model_guarded(std::hint::black_box(&sys), &cfg, &inline))
     });
     group.bench_function(BenchmarkId::new("reference", "dual_ring/6+5/T9"), |b| {
         let cfg = cfg(false);
-        b.iter(|| find_model(std::hint::black_box(&sys), &cfg))
+        b.iter(|| find_model_guarded(std::hint::black_box(&sys), &cfg, &inline))
     });
     group.finish();
 }

@@ -15,7 +15,7 @@
 
 use ringen_chc::ChcSystem;
 use ringen_core::{Answer, RingenConfig};
-use ringen_elem::{ElemAnswer, ElemConfig};
+use ringen_elem::{ElemAnswer, ElemConfig, ElemSearchConfig};
 use ringen_regelem::{
     solve_regelem, DpBudget, LangPoolConfig, RegElemAnswer, RegElemConfig, RegElemInvariant,
 };
@@ -84,7 +84,6 @@ pub fn run_hybrid(sys: &ChcSystem) -> HybridOutcome {
     let cfg = RingenConfig {
         finder: crate::finder_config(),
         saturation: SolverKind::RInGen.saturation(),
-        verify_invariants: true,
     };
     let (answer, _) = ringen_core::solve(sys, &cfg);
     match answer {
@@ -109,8 +108,10 @@ pub fn run_hybrid(sys: &ChcSystem) -> HybridOutcome {
     // Phase 2: elementary templates.
     let cfg = ElemConfig {
         saturation: SolverKind::Spacer.saturation(),
-        max_assignments: crate::TEMPLATE_ASSIGNMENTS,
-        ..ElemConfig::quick()
+        search: ElemSearchConfig {
+            max_assignments: crate::TEMPLATE_ASSIGNMENTS,
+            ..ElemSearchConfig::quick()
+        },
     };
     let (answer, _) = ringen_elem::solve_elem(sys, &cfg);
     match answer {

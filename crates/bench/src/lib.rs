@@ -26,7 +26,7 @@ use ringen_benchgen::{Benchmark, Expected, Family};
 use ringen_chc::ChcSystem;
 use ringen_core::saturation::SaturationConfig;
 use ringen_core::{Answer, RingenConfig};
-use ringen_elem::{ElemAnswer, ElemConfig};
+use ringen_elem::{ElemAnswer, ElemConfig, ElemSearchConfig};
 use ringen_fmf::FinderConfig;
 use ringen_induction::{InductionAnswer, InductionConfig};
 use ringen_sizeelem::{SizeElemAnswer, SizeElemConfig};
@@ -163,7 +163,6 @@ pub fn run_solver(kind: SolverKind, sys: &ChcSystem) -> (RunAnswer, Option<usize
             let cfg = RingenConfig {
                 finder: finder_config(),
                 saturation: kind.saturation(),
-                verify_invariants: true,
             };
             let (answer, stats) = ringen_core::solve(sys, &cfg);
             match answer {
@@ -191,8 +190,10 @@ pub fn run_solver(kind: SolverKind, sys: &ChcSystem) -> (RunAnswer, Option<usize
         SolverKind::Spacer => {
             let cfg = ElemConfig {
                 saturation: kind.saturation(),
-                max_assignments: TEMPLATE_ASSIGNMENTS,
-                ..ElemConfig::quick()
+                search: ElemSearchConfig {
+                    max_assignments: TEMPLATE_ASSIGNMENTS,
+                    ..ElemSearchConfig::quick()
+                },
             };
             let (answer, _) = ringen_elem::solve_elem(sys, &cfg);
             match answer {

@@ -3,8 +3,10 @@
 //! with its 23 hand-written companions, and the three benchmark suites
 //! of Table 1 (`PositiveEq`, `Diseq`, TIP-like).
 //!
-//! See `DESIGN.md` for how generated suites substitute for the paper's
-//! external artifacts while preserving the evaluation's composition.
+//! The paper's external suites are not shipped; the generated ones
+//! reproduce their *composition* — which solver profile should solve
+//! which fraction, as recorded in Table 1 — with genuine CHC systems
+//! (see [`suites`]).
 //!
 //! # Example
 //!

@@ -56,6 +56,7 @@ pub use inductive::{
 pub use invariant::{DisplayInvariant, RegularInvariant};
 pub use preprocess::{preprocess, PreprocessStats, Preprocessed};
 pub use refute::{refute_guarded, Refuted, SharedRefutation};
+pub use ringen_fmf::FinderConfig;
 pub use ringen_parallel::{
     deadline_ms_from_env, FaultPlan, FaultStats, Faults, Guard, Poller, Recorder, RecorderLimits,
     SharedRecorder, Span, SpanHandle,

@@ -16,8 +16,10 @@
 //! (`Entrants`), the lowest crate that sees all four engines, together
 //! with the per-race shared refute phase ([`crate::refute`]).
 //!
-//! Degenerate thread counts degrade gracefully: with one worker the
-//! race is the sequential hybrid chain — entrants run in order, and
+//! The race's width is structural: one thread per entrant, since a
+//! loser can only be cancelled while a sibling makes progress. A guard
+//! of width 1 ([`Guard::threads`]) degrades gracefully to the sequential
+//! hybrid chain — entrants run in order on the caller's thread, and
 //! once one wins, the rest observe the tripped race token on their
 //! first poll and report [`EngineStatus::Cancelled`] without doing any
 //! work.
@@ -196,23 +198,20 @@ impl PortfolioStats {
     }
 }
 
-/// Race-level knobs.
+/// Race-level knobs. The race's width is not one of them: it is one
+/// thread per entrant, or 1 under a guard of width 1.
 #[derive(Debug, Clone, Default)]
 pub struct RaceConfig {
     /// Wall-clock budget for the whole race; `None` races unbounded.
     pub deadline: Option<Duration>,
-    /// Worker pool for the entrants. One thread degenerates to the
-    /// sequential hybrid chain.
-    pub parallel: ParallelConfig,
 }
 
 impl RaceConfig {
-    /// Reads `RINGEN_DEADLINE_MS` and `RINGEN_THREADS` (see
-    /// `ENVIRONMENT.md` at the workspace root).
+    /// Reads `RINGEN_DEADLINE_MS` (see `ENVIRONMENT.md` at the
+    /// workspace root).
     pub fn from_env() -> Self {
         RaceConfig {
             deadline: ringen_parallel::deadline_ms_from_env().map(Duration::from_millis),
-            parallel: ParallelConfig::from_env(),
         }
     }
 }
@@ -277,7 +276,12 @@ pub fn race<T: Send>(
     // The winner's index and the instant it cancelled the field.
     let winner: Mutex<Option<(usize, Instant)>> = Mutex::new(None);
 
-    let pool = Pool::persistent(&cfg.parallel);
+    let width = if guard.threads() > 1 {
+        slots.len().max(1)
+    } else {
+        1
+    };
+    let pool = Pool::persistent(&ParallelConfig::with_threads(width));
     let mut records: Vec<RunRecord<T>> = pool.map_items(&slots, |i, slot| {
         let engine = slot
             .lock()
@@ -424,11 +428,9 @@ mod tests {
     use super::*;
     use ringen_parallel::{Poller, Recorder};
 
-    fn threads(n: usize) -> RaceConfig {
-        RaceConfig {
-            deadline: None,
-            parallel: ParallelConfig::with_threads(n),
-        }
+    /// A plain guard of width `n`.
+    fn threads(n: usize) -> Guard {
+        Guard::new().with_threads(n)
     }
 
     /// An entrant that spins until its guard trips.
@@ -450,7 +452,7 @@ mod tests {
             Engine::new("fast", |_: &Guard| (EngineVerdict::Sat, 7)),
             diverging("slow"),
         ];
-        let (outcome, stats) = race(engines, &threads(2), &Guard::new());
+        let (outcome, stats) = race(engines, &RaceConfig::default(), &threads(2));
         match outcome {
             RaceOutcome::Decided {
                 engine,
@@ -473,13 +475,13 @@ mod tests {
     fn every_cancelled_loser_records_its_cancel_latency() {
         for n in [1, 3] {
             let rec = Recorder::new();
-            let guard = Guard::new().with_recorder(rec.clone());
+            let guard = threads(n).with_recorder(rec.clone());
             let engines = vec![
                 Engine::new("fast", |_: &Guard| (EngineVerdict::Sat, 7)),
                 diverging("slow"),
                 diverging("slower"),
             ];
-            let (_, stats) = race(engines, &threads(n), &guard);
+            let (_, stats) = race(engines, &RaceConfig::default(), &guard);
             assert_eq!(stats.cancelled(), 2, "threads={n}");
             let trace = rec.snapshot();
             let latency = trace
@@ -504,7 +506,7 @@ mod tests {
             Engine::new("second", |_: &Guard| (EngineVerdict::Unsat, 1)),
             diverging("third"),
         ];
-        let (outcome, stats) = race(engines, &threads(1), &Guard::new());
+        let (outcome, stats) = race(engines, &RaceConfig::default(), &threads(1));
         assert!(matches!(
             outcome,
             RaceOutcome::Decided {
@@ -523,10 +525,9 @@ mod tests {
         for n in [1, 4] {
             let cfg = RaceConfig {
                 deadline: Some(Duration::from_millis(20)),
-                parallel: ParallelConfig::with_threads(n),
             };
             let engines = vec![diverging("a"), diverging("b")];
-            let (outcome, stats) = race(engines, &cfg, &Guard::new());
+            let (outcome, stats) = race(engines, &cfg, &threads(n));
             assert!(
                 matches!(outcome, RaceOutcome::Interrupted),
                 "threads={n}: expected Interrupted"
@@ -546,7 +547,7 @@ mod tests {
             }),
             Engine::new("steady", |_: &Guard| (EngineVerdict::Sat, 9)),
         ];
-        let (outcome, stats) = race(engines, &threads(2), &Guard::new());
+        let (outcome, stats) = race(engines, &RaceConfig::default(), &threads(2));
         assert!(matches!(
             outcome,
             RaceOutcome::Decided {
@@ -568,7 +569,7 @@ mod tests {
             Engine::new("a", |_: &Guard| (EngineVerdict::Unknown, 0)),
             Engine::new("b", |_: &Guard| (EngineVerdict::Unknown, 0)),
         ];
-        let (outcome, stats) = race(engines, &threads(2), &Guard::new());
+        let (outcome, stats) = race(engines, &RaceConfig::default(), &threads(2));
         assert!(matches!(outcome, RaceOutcome::Undecided));
         assert_eq!(stats.winner, None);
         assert!(stats
@@ -590,9 +591,9 @@ mod tests {
         };
         for n in [1, 4] {
             let faults = Faults::new(FaultPlan::parse("panic@a.work, panic@b.work").unwrap());
-            let guard = Guard::new().with_faults(&faults);
+            let guard = threads(n).with_faults(&faults);
             let engines = vec![entrant("a", "a.work"), entrant("b", "b.work")];
-            let (outcome, stats) = race(engines, &threads(n), &guard);
+            let (outcome, stats) = race(engines, &RaceConfig::default(), &guard);
             // No winner slot to hang on: the race comes home Undecided
             // (a definitive Unknown), with every entrant's fate filed.
             assert!(
@@ -629,7 +630,7 @@ mod tests {
             })
         };
         let engines = vec![entrant("a", "a.work"), entrant("b", "b.work")];
-        let (outcome, stats) = race(engines, &threads(2), &Guard::new());
+        let (outcome, stats) = race(engines, &RaceConfig::default(), &threads(2));
         assert!(
             matches!(outcome, RaceOutcome::Undecided),
             "expected Undecided, got {outcome:?}"
@@ -640,10 +641,10 @@ mod tests {
 
     #[test]
     fn outer_cancel_interrupts_the_race() {
-        let guard = Guard::new();
+        let guard = threads(2);
         guard.cancel();
         let engines = vec![diverging("a"), diverging("b")];
-        let (outcome, stats) = race(engines, &threads(2), &guard);
+        let (outcome, stats) = race(engines, &RaceConfig::default(), &guard);
         assert!(matches!(outcome, RaceOutcome::Interrupted));
         // No deadline was armed, so a tripped token reads as Cancelled.
         assert_eq!(stats.cancelled(), 2);

@@ -42,18 +42,17 @@
 //! applying the fact/step budgets — so the outcome, the fact order, the
 //! pool contents, and any refutation certificate are a pure function of
 //! the per-clause results and therefore bit-for-bit identical at any
-//! thread count (`RINGEN_THREADS=1` forces the spawn-free inline
-//! path; the differential property tests in `tests/` pin 2, 4 and 8
-//! workers to it). Budgets stay deterministic because each clause runs
+//! thread count (the guard's width, [`Guard::threads`]; a width of 1
+//! forces the spawn-free inline path, and the differential property
+//! tests in `tests/` pin 2, 4 and 8 workers to it). Budgets stay deterministic because each clause runs
 //! under the budget remaining at the round's start, and the merge
 //! re-applies the global caps clause by clause. An item that stops on
 //! a cap bounds the merge to end by its clause, so the items of later
 //! clauses are skipped, or abandoned at their next poll (`RoundCut`):
 //! on a round the fact cap ends early that is most of the round's
-//! work, and none of it would have been merged. The workers themselves
-//! are spawned **once per [`saturate`] call** and parked between
-//! rounds ([`ringen_parallel::Pool::persistent`]), so many-round
-//! instances pay no per-round spawn latency.
+//! work, and none of it would have been merged. Rounds run on the
+//! process-wide executor's parked threads, so many-round instances pay
+//! no per-round spawn latency.
 //!
 //! # Semi-naive rounds: delta-driven variants
 //!
@@ -146,10 +145,6 @@ pub struct SaturationConfig {
     /// `clauses × remaining` matches beyond the cap. A budget, not an
     /// exact step count.
     pub max_steps: u64,
-    /// Worker threads for the sharded round engine. The default honors
-    /// `RINGEN_THREADS` (1 forces the inline path); outcomes are
-    /// bit-for-bit identical at any value.
-    pub parallel: ParallelConfig,
     /// Use the delta-driven semi-naive round engine with
     /// argument-indexed joins (see the [module docs](self)). The
     /// default honors `RINGEN_SAT_SEMINAIVE` (`0` selects the naive
@@ -168,7 +163,6 @@ impl Default for SaturationConfig {
             max_term_height: 24,
             free_var_candidates: 8,
             max_steps: 2_000_000,
-            parallel: ParallelConfig::default(),
             semi_naive: std::env::var_os("RINGEN_SAT_SEMINAIVE").is_none_or(|v| v != *"0"),
         }
     }
@@ -910,9 +904,9 @@ fn merge_round_semi(
 /// Computes the least model bottom-up; reports a [`Refutation`] as soon
 /// as a query clause fires.
 ///
-/// Rounds are sharded across [`SaturationConfig::parallel`] workers,
-/// spawned once per call and parked between rounds (see the
-/// [module docs](self)); the result is identical at any worker count.
+/// Rounds are sharded across the guard's [`Guard::threads`] workers
+/// (see the [module docs](self)); the result is identical at any
+/// worker count.
 pub fn saturate(sys: &ChcSystem, cfg: &SaturationConfig) -> (SaturationOutcome, SaturationStats) {
     saturate_guarded(sys, cfg, &Guard::new())
 }
@@ -968,7 +962,7 @@ fn saturate_rounds(
     guard: &Guard,
     rec: &Recorder,
 ) -> (SaturationOutcome, SaturationStats) {
-    let pool = Pool::persistent(&cfg.parallel);
+    let pool = Pool::persistent(&ParallelConfig::with_threads(guard.threads()));
     let semi = cfg.semi_naive;
     let mut base = FactBase {
         index_args: semi,

@@ -18,26 +18,12 @@ use crate::refute::{refute_guarded, Refuted};
 use crate::saturation::{Refutation, SaturationConfig, SaturationStats};
 
 /// Tuning knobs for [`solve`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RingenConfig {
     /// Finite-model search budgets.
     pub finder: FinderConfig,
     /// Refuter budgets.
     pub saturation: SaturationConfig,
-    /// Re-check SAT invariants with the independent inductiveness
-    /// checker (cheap; on by default). Refutations are always replayed
-    /// (see [`refute_guarded`]).
-    pub verify_invariants: bool,
-}
-
-impl Default for RingenConfig {
-    fn default() -> Self {
-        RingenConfig {
-            finder: FinderConfig::default(),
-            saturation: SaturationConfig::default(),
-            verify_invariants: true,
-        }
-    }
 }
 
 impl RingenConfig {
@@ -59,7 +45,6 @@ impl RingenConfig {
                 max_steps: 400_000,
                 ..SaturationConfig::default()
             },
-            ..RingenConfig::default()
         }
     }
 }
@@ -190,7 +175,7 @@ pub fn solve_guarded(
     let (answer, mut stats) = match refuted {
         Refuted::Unsat(r) => (Answer::Unsat(r), SolveStats::default()),
         Refuted::Interrupted => (Answer::Interrupted, SolveStats::default()),
-        Refuted::NoRefutation => search_guarded(sys, cfg, store, guard),
+        Refuted::NoRefutation => search_guarded(sys, &cfg.finder, store, guard),
     };
     stats.saturation = Some(sat_stats);
     (answer, stats)
@@ -207,7 +192,7 @@ pub fn solve_guarded(
 /// Same conditions as [`solve`].
 pub fn search_guarded(
     sys: &ChcSystem,
-    cfg: &RingenConfig,
+    cfg: &FinderConfig,
     store: &mut AutStore,
     guard: &Guard,
 ) -> (Answer, SolveStats) {
@@ -238,7 +223,7 @@ pub fn search_guarded(
 
 fn search_phases(
     sys: &ChcSystem,
-    cfg: &RingenConfig,
+    cfg: &FinderConfig,
     store: &mut AutStore,
     guard: &Guard,
     stats: &mut SolveStats,
@@ -254,7 +239,7 @@ fn search_phases(
         pre
     };
     stats.preprocess = Some(pre.stats.clone());
-    let (outcome, fstats) = match find_model_guarded(&pre.skolemized, &cfg.finder, guard) {
+    let (outcome, fstats) = match find_model_guarded(&pre.skolemized, cfg, guard) {
         Ok(pair) => pair,
         Err(e) => return Answer::Unknown(Divergence::NotReducible(e.to_string())),
     };
@@ -264,7 +249,8 @@ fn search_phases(
             stats.model_size = Some(model.size());
             rec.gauge("model_size", model.size() as i64);
             let invariant = RegularInvariant::from_model(&pre.system, &model);
-            if cfg.verify_invariants {
+            // Re-checked by the independent inductiveness checker.
+            {
                 let mut span = rec.span("inductive_check");
                 match check_inductive_guarded(&pre.system, &invariant, store, guard) {
                     InductiveCheck::Inductive => span.note_str("outcome", "inductive"),

@@ -12,9 +12,8 @@
 use proptest::prelude::*;
 use ringen_automata::AutStore;
 use ringen_chc::{parse_str, ChcSystem};
-use ringen_core::saturation::{saturate, saturate_guarded, SaturationConfig, SaturationOutcome};
+use ringen_core::saturation::{saturate_guarded, SaturationConfig, SaturationOutcome};
 use ringen_core::{solve_guarded, Guard, RingenConfig};
-use ringen_parallel::ParallelConfig;
 
 /// Small systems exercising both SAT and UNSAT paths of the pipeline.
 fn systems() -> Vec<ChcSystem> {
@@ -71,19 +70,18 @@ proptest! {
     ) {
         let threads = [1usize, 4][threads_idx];
         let sys = systems().swap_remove(which);
-        let mut cfg = RingenConfig::quick();
-        cfg.saturation.parallel = ParallelConfig::with_threads(threads);
-        cfg.finder.parallel = ParallelConfig::with_threads(threads);
+        let cfg = RingenConfig::quick();
+        let fresh = || Guard::new().with_threads(threads);
 
         // Fresh solve on a fresh store: the reference result.
         let mut fresh_store = AutStore::new();
         let (expect_answer, expect_stats) =
-            solve_guarded(&sys, &cfg, &mut fresh_store, &Guard::new());
+            solve_guarded(&sys, &cfg, &mut fresh_store, &fresh());
         let expect = format!("{expect_answer:?} / {expect_stats:?}");
 
         // Cancelled solve at an arbitrary point, on the shared store.
         let mut store = AutStore::new();
-        let g = Guard::with_fuel(fuel);
+        let g = Guard::with_fuel(fuel).with_threads(threads);
         let (cancelled_answer, _) = solve_guarded(&sys, &cfg, &mut store, &g);
         if g.is_cancelled() {
             prop_assert!(
@@ -99,7 +97,7 @@ proptest! {
         }
 
         // Uncancelled re-run on the *same* store.
-        let (answer, stats) = solve_guarded(&sys, &cfg, &mut store, &Guard::new());
+        let (answer, stats) = solve_guarded(&sys, &cfg, &mut store, &fresh());
         prop_assert_eq!(format!("{answer:?} / {stats:?}"), expect);
     }
 
@@ -115,11 +113,8 @@ proptest! {
     ) {
         let threads = [1usize, 4][threads_idx];
         let sys = systems().swap_remove(which);
-        let cfg = SaturationConfig {
-            parallel: ParallelConfig::with_threads(threads),
-            ..SaturationConfig::default()
-        };
-        let (full, full_stats) = saturate(&sys, &cfg);
+        let cfg = SaturationConfig::default();
+        let (full, full_stats) = saturate_guarded(&sys, &cfg, &Guard::new().with_threads(threads));
         let full_facts = match &full {
             SaturationOutcome::Refuted(_) => None,
             SaturationOutcome::Saturated(base)
@@ -129,7 +124,7 @@ proptest! {
             }
         };
 
-        let g = Guard::with_fuel(fuel);
+        let g = Guard::with_fuel(fuel).with_threads(threads);
         let (cancelled, cancelled_stats) = saturate_guarded(&sys, &cfg, &g);
         match cancelled {
             SaturationOutcome::Interrupted(base) => {
@@ -154,7 +149,7 @@ proptest! {
 
         // And a fresh, unguarded run afterwards is still identical —
         // cancellation touched nothing global.
-        let (again, again_stats) = saturate(&sys, &cfg);
+        let (again, again_stats) = saturate_guarded(&sys, &cfg, &Guard::new().with_threads(threads));
         prop_assert_eq!(
             format!("{again:?} / {again_stats:?}"),
             format!("{full:?} / {full_stats:?}")

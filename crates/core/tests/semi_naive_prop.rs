@@ -19,9 +19,9 @@
 use proptest::prelude::*;
 use ringen_chc::{parse_str, ChcSystem, PredId};
 use ringen_core::saturation::{
-    check_refutation, saturate, Refutation, SaturationConfig, SaturationOutcome,
+    check_refutation, saturate_guarded, Refutation, SaturationConfig, SaturationOutcome,
 };
-use ringen_parallel::ParallelConfig;
+use ringen_parallel::Guard;
 use ringen_terms::GroundTerm;
 
 /// Small systems covering the engine's paths: pooled fast path, diseq /
@@ -132,10 +132,9 @@ struct Fingerprint {
 fn run(sys: &ChcSystem, cfg: &SaturationConfig, semi: bool, threads: usize) -> Fingerprint {
     let cfg = SaturationConfig {
         semi_naive: semi,
-        parallel: ParallelConfig::with_threads(threads),
         ..cfg.clone()
     };
-    let (outcome, stats) = saturate(sys, &cfg);
+    let (outcome, stats) = saturate_guarded(sys, &cfg, &Guard::new().with_threads(threads));
     let (variant, facts, pooled_terms, refutation) = match outcome {
         SaturationOutcome::Refuted(r) => ("refuted", Vec::new(), 0, Some(r)),
         SaturationOutcome::Saturated(base) => (
@@ -150,7 +149,7 @@ fn run(sys: &ChcSystem, cfg: &SaturationConfig, semi: bool, threads: usize) -> F
             base.pool().len(),
             None,
         ),
-        // Unreachable: the unguarded `saturate` never trips.
+        // Unreachable: a plain guard never trips.
         SaturationOutcome::Interrupted(base) => (
             "interrupted",
             base.ground_facts().collect(),
@@ -217,10 +216,9 @@ proptest! {
             max_facts,
             max_steps,
             semi_naive: true,
-            parallel: ParallelConfig::with_threads(threads),
             ..SaturationConfig::default()
         };
-        let (outcome, _) = saturate(&sys, &cfg);
+        let (outcome, _) = saturate_guarded(&sys, &cfg, &Guard::new().with_threads(threads));
         if let SaturationOutcome::Refuted(r) = outcome {
             prop_assert!(check_refutation(&sys, &r).is_ok());
         }
@@ -250,11 +248,11 @@ fn two_atom_recursion_derives_each_fact_exactly_once() {
     .unwrap();
     let cfg = |semi: bool| SaturationConfig {
         semi_naive: semi,
-        parallel: ParallelConfig::with_threads(1),
         ..SaturationConfig::default()
     };
-    let (semi_outcome, semi_stats) = saturate(&sys, &cfg(true));
-    let (naive_outcome, naive_stats) = saturate(&sys, &cfg(false));
+    let inline = Guard::new().with_threads(1);
+    let (semi_outcome, semi_stats) = saturate_guarded(&sys, &cfg(true), &inline);
+    let (naive_outcome, naive_stats) = saturate_guarded(&sys, &cfg(false), &inline);
     let (semi_base, naive_base) = match (semi_outcome, naive_outcome) {
         (SaturationOutcome::Saturated(a), SaturationOutcome::Saturated(b)) => (a, b),
         other => panic!("chain system must saturate, got {other:?}"),

@@ -39,6 +39,6 @@ pub use dp::{check_cube, CubeSat};
 pub use lit::{Cube, ElemFormula, Literal};
 pub use solver::{
     search_elem_guarded, solve_elem, solve_elem_guarded, ElemAnswer, ElemConfig, ElemInvariant,
-    ElemStats,
+    ElemSearchConfig, ElemStats,
 };
 pub use template::{atoms, candidates, TemplateConfig};

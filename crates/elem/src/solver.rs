@@ -25,29 +25,13 @@ use crate::lit::{Cube, ElemFormula, Literal};
 use crate::search::for_each_composition;
 use crate::template::{candidates, TemplateConfig};
 
-/// Budgets for the search.
-#[derive(Debug, Clone)]
+/// Budgets for [`solve_elem`]: the refute phase and the search phase.
+#[derive(Debug, Clone, Default)]
 pub struct ElemConfig {
-    /// Template space.
-    pub templates: TemplateConfig,
     /// Refuter budgets.
     pub saturation: SaturationConfig,
-    /// Maximum candidate assignments to check (the "timeout").
-    pub max_assignments: u64,
-    /// Cap on DNF distribution size during clause checks; candidates
-    /// that blow past it are skipped.
-    pub dnf_cap: usize,
-}
-
-impl Default for ElemConfig {
-    fn default() -> Self {
-        ElemConfig {
-            templates: TemplateConfig::default(),
-            saturation: SaturationConfig::default(),
-            max_assignments: 200_000,
-            dnf_cap: 64,
-        }
-    }
+    /// Template-sweep budgets.
+    pub search: ElemSearchConfig,
 }
 
 impl ElemConfig {
@@ -62,8 +46,39 @@ impl ElemConfig {
                 max_steps: 400_000,
                 ..SaturationConfig::default()
             },
+            search: ElemSearchConfig::quick(),
+        }
+    }
+}
+
+/// Budgets for the template sweep ([`search_elem_guarded`]).
+#[derive(Debug, Clone)]
+pub struct ElemSearchConfig {
+    /// Template space.
+    pub templates: TemplateConfig,
+    /// Maximum candidate assignments to check (the "timeout").
+    pub max_assignments: u64,
+    /// Cap on DNF distribution size during clause checks; candidates
+    /// that blow past it are skipped.
+    pub dnf_cap: usize,
+}
+
+impl Default for ElemSearchConfig {
+    fn default() -> Self {
+        ElemSearchConfig {
+            templates: TemplateConfig::default(),
+            max_assignments: 200_000,
+            dnf_cap: 64,
+        }
+    }
+}
+
+impl ElemSearchConfig {
+    /// Small-budget sweep for batch benchmarking.
+    pub fn quick() -> Self {
+        ElemSearchConfig {
             max_assignments: 30_000,
-            ..ElemConfig::default()
+            ..ElemSearchConfig::default()
         }
     }
 }
@@ -158,7 +173,7 @@ pub fn solve_elem_guarded(
     match refute_guarded(sys, &cfg.saturation, guard).0 {
         Refuted::Unsat(r) => (ElemAnswer::Unsat(r), ElemStats::default()),
         Refuted::Interrupted => (ElemAnswer::Interrupted, ElemStats::default()),
-        Refuted::NoRefutation => search_elem_guarded(sys, cfg, guard),
+        Refuted::NoRefutation => search_elem_guarded(sys, &cfg.search, guard),
     }
 }
 
@@ -172,7 +187,7 @@ pub fn solve_elem_guarded(
 /// Same conditions as [`solve_elem`].
 pub fn search_elem_guarded(
     sys: &ChcSystem,
-    cfg: &ElemConfig,
+    cfg: &ElemSearchConfig,
     guard: &Guard,
 ) -> (ElemAnswer, ElemStats) {
     if let Err(e) = sys.well_sorted() {
@@ -198,7 +213,7 @@ pub fn search_elem_guarded(
 
 fn elem_sweep(
     sys: &ChcSystem,
-    cfg: &ElemConfig,
+    cfg: &ElemSearchConfig,
     guard: &Guard,
     stats: &mut ElemStats,
 ) -> ElemAnswer {
@@ -258,7 +273,7 @@ fn elem_sweep(
 fn is_inductive(
     sys: &ChcSystem,
     assignment: &BTreeMap<PredId, &ElemFormula>,
-    cfg: &ElemConfig,
+    cfg: &ElemSearchConfig,
     stats: &mut ElemStats,
 ) -> bool {
     sys.clauses
@@ -270,7 +285,7 @@ fn clause_valid(
     sys: &ChcSystem,
     clause: &Clause,
     assignment: &BTreeMap<PredId, &ElemFormula>,
-    cfg: &ElemConfig,
+    cfg: &ElemSearchConfig,
     stats: &mut ElemStats,
 ) -> bool {
     stats.clause_checks += 1;
@@ -406,7 +421,7 @@ mod tests {
         )
         .unwrap();
         let mut cfg = quick();
-        cfg.max_assignments = 3_000;
+        cfg.search.max_assignments = 3_000;
         let (answer, stats) = solve_elem(&sys, &cfg);
         assert!(answer.is_unknown(), "Even ∉ Elem, got {answer:?}");
         assert!(stats.assignments > 0);

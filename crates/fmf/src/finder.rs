@@ -7,9 +7,9 @@
 //! with the same snapshot/delta/merge shape as the saturation engine:
 //! workers *generate* literal lists, the caller *adds* them to the
 //! solver sequentially in clause order. The outcome is bit-for-bit
-//! identical at any `RINGEN_THREADS` value. The workers are spawned
-//! once per [`find_model`] call and parked between size vectors
-//! ([`Pool::persistent`]), not re-spawned per sweep.
+//! identical at any worker count (the guard's [`Guard::threads`]). The
+//! sweeps run on the process-wide executor's parked threads, so no
+//! size vector pays a thread spawn.
 //!
 //! # Incremental sweeps
 //!
@@ -34,7 +34,7 @@
 //! grounding odometers and per instance added to the solver, besides
 //! the SAT search's own polls. A polled guard that has not tripped
 //! changes nothing, so uncancelled runs stay bit-identical at any
-//! `RINGEN_THREADS`.
+//! worker count.
 //!
 //! On SAT, the extracted model is optionally shrunk to a ⊆-minimal
 //! predicate extension ([`FinderConfig::minimize`],
@@ -74,10 +74,6 @@ pub struct FinderConfig {
     /// the dual-query assumption loop. The default honors
     /// `RINGEN_FMF_MINIMIZE` (`0` keeps the solver's first model).
     pub minimize: bool,
-    /// Worker threads for the ground-instance sweep. The default honors
-    /// `RINGEN_THREADS` (1 forces the inline path); results are
-    /// identical at any value.
-    pub parallel: ParallelConfig,
 }
 
 fn env_flag(name: &str) -> bool {
@@ -93,7 +89,6 @@ impl Default for FinderConfig {
             symmetry_breaking: true,
             incremental: env_flag("RINGEN_FMF_INCREMENTAL"),
             minimize: env_flag("RINGEN_FMF_MINIMIZE"),
-            parallel: ParallelConfig::default(),
         }
     }
 }
@@ -188,10 +183,10 @@ fn find_model_inner(
         // Degenerate: no sorts means no variables; treat as exhausted.
         return Ok((FmfOutcome::Exhausted, stats));
     }
-    // One worker set for the whole search: spawned here, parked
-    // between size vectors (and between waves within one), joined on
-    // return. `RINGEN_THREADS=1` spawns nothing.
-    let pool = Pool::persistent(&config.parallel);
+    // The ground-instance sweeps fan out as wide as the guard allows;
+    // a width of 1 grounds inline.
+    let width = guard.map_or_else(|| Guard::new().threads(), Guard::threads);
+    let pool = Pool::persistent(&ParallelConfig::with_threads(width));
     let rec = guard.map_or_else(Recorder::disabled, |g| g.recorder().clone());
     let mut span = rec.span("fmf.search");
     span.note("max_total_size", config.max_total_size as i64);
@@ -1550,10 +1545,10 @@ mod tests {
             let run = |threads: usize| {
                 let cfg = FinderConfig {
                     incremental,
-                    parallel: ParallelConfig::with_threads(threads),
                     ..FinderConfig::default()
                 };
-                let (outcome, stats) = find_model(&sys, &cfg).unwrap();
+                let guard = Guard::new().with_threads(threads);
+                let (outcome, stats) = find_model_guarded(&sys, &cfg, &guard).unwrap();
                 (outcome.model(), stats)
             };
             let (m1, s1) = run(1);
@@ -1587,10 +1582,10 @@ mod tests {
         let run = |threads: usize| {
             let cfg = FinderConfig {
                 max_total_size: 4,
-                parallel: ParallelConfig::with_threads(threads),
                 ..FinderConfig::default()
             };
-            let (outcome, stats) = find_model(&sys, &cfg).unwrap();
+            let guard = Guard::new().with_threads(threads);
+            let (outcome, stats) = find_model_guarded(&sys, &cfg, &guard).unwrap();
             (outcome.model().is_some(), stats)
         };
         let base = run(1);
@@ -1791,10 +1786,11 @@ mod tests {
             // A few hundred polls see the size-1 vector through and
             // trip while the size-2 vector's wide query is grounding
             // (about one poll per `DEFAULT_POLL_PERIOD` assignments).
-            let guard = Guard::with_fuel(300).with_recorder(rec.clone());
+            let guard = Guard::with_fuel(300)
+                .with_recorder(rec.clone())
+                .with_threads(1);
             let cfg = FinderConfig {
                 incremental,
-                parallel: ParallelConfig::with_threads(1),
                 ..FinderConfig::default()
             };
             let (outcome, stats) = find_model_guarded(&sys, &cfg, &guard).unwrap();

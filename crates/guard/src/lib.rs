@@ -21,9 +21,15 @@
 //! parameter. Children inherit the parent's recorder; the default is
 //! the disabled recorder — or a live one when `RINGEN_TRACE` is set,
 //! so the whole test suite can run instrumented.
+//!
+//! The guard carries the solve's worker count the same way: every
+//! parallel loop under a guard fans out [`Guard::threads`] wide.
+//! [`Guard::new`] and its siblings take the count from `RINGEN_THREADS`
+//! (or the number of CPUs), read once per process; children inherit
+//! it, and tests pin it with [`Guard::with_threads`].
 
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 pub mod faults;
@@ -76,6 +82,8 @@ impl Inner {
 pub struct Guard {
     inner: Arc<Inner>,
     recorder: Recorder,
+    /// Worker count for the parallel loops under this guard (>= 1).
+    threads: usize,
 }
 
 impl Default for Guard {
@@ -94,6 +102,7 @@ impl Guard {
                 parent,
             }),
             recorder: Recorder::from_env(),
+            threads: threads_from_env(),
         }
     }
 
@@ -129,15 +138,23 @@ impl Guard {
 
     /// Derives a child token: cancelled when this token is, but
     /// cancelling the child leaves the parent (and siblings) running.
-    /// The child records into the parent's recorder.
+    /// The child records into the parent's recorder and inherits its
+    /// worker count.
     pub fn child(&self) -> Self {
-        Guard::from_parts(None, -1, Some(self.inner.clone())).with_recorder(self.recorder.clone())
+        self.child_at(None)
     }
 
     /// A child token with its own, tighter deadline.
     pub fn child_with_deadline(&self, timeout: Duration) -> Self {
-        Guard::from_parts(Some(Instant::now() + timeout), -1, Some(self.inner.clone()))
-            .with_recorder(self.recorder.clone())
+        self.child_at(Some(Instant::now() + timeout))
+    }
+
+    fn child_at(&self, deadline: Option<Instant>) -> Self {
+        Guard {
+            recorder: self.recorder.clone(),
+            threads: self.threads,
+            ..Guard::from_parts(deadline, -1, Some(self.inner.clone()))
+        }
     }
 
     /// This token recording into `recorder` instead: same cancellation
@@ -145,6 +162,20 @@ impl Guard {
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
         self.recorder = recorder;
         self
+    }
+
+    /// This token with its parallel loops fanned out `threads` wide:
+    /// same cancellation state and recorder. `0` means one worker per
+    /// CPU; `1` runs every loop inline on the calling thread.
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = resolve_threads(threads);
+        self
+    }
+
+    /// The worker count of the parallel loops under this guard (at
+    /// least 1).
+    pub fn threads(&self) -> usize {
+        self.threads
     }
 
     /// This token with `faults` armed at its span-open probe points —
@@ -184,6 +215,29 @@ pub fn deadline_ms_from_env() -> Option<u64> {
         .ok()
         .and_then(|v| v.trim().parse::<u64>().ok())
         .filter(|&ms| ms > 0)
+}
+
+/// `RINGEN_THREADS` resolved to a worker count, read once per process:
+/// unset, empty, unparsable or `0` mean one worker per CPU.
+fn threads_from_env() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        resolve_threads(
+            std::env::var("RINGEN_THREADS")
+                .ok()
+                .and_then(|s| s.trim().parse::<usize>().ok())
+                .unwrap_or(0),
+        )
+    })
+}
+
+/// A requested worker count, with `0` resolved to the number of CPUs.
+fn resolve_threads(threads: usize) -> usize {
+    if threads > 0 {
+        threads
+    } else {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    }
 }
 
 /// Default amortization period for [`Poller`]: hot loops touch the
@@ -357,6 +411,25 @@ mod tests {
             let _s = child.recorder().span("from-grandchild");
         }
         assert_eq!(rec.snapshot().spans.len(), 1);
+    }
+
+    #[test]
+    fn children_and_armed_guards_inherit_the_worker_count() {
+        let parent = Guard::new().with_threads(3);
+        assert_eq!(parent.threads(), 3);
+        assert_eq!(parent.child().threads(), 3);
+        assert_eq!(
+            parent
+                .child_with_deadline(Duration::from_secs(60))
+                .child()
+                .threads(),
+            3
+        );
+        let faults = Faults::new(FaultPlan::parse("delay@x:0").unwrap());
+        assert_eq!(parent.with_faults(&faults).threads(), 3);
+        // Zero resolves to the CPU count, never below one worker.
+        assert!(Guard::new().with_threads(0).threads() >= 1);
+        assert!(Guard::new().threads() >= 1);
     }
 
     #[test]

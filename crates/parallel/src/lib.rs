@@ -1,10 +1,10 @@
-//! A dependency-free, scoped threadpool for the solver's
-//! embarrassingly parallel loops.
+//! A dependency-free thread pool for the solver's embarrassingly
+//! parallel loops.
 //!
 //! The saturation refuter and the automata batch evaluators fan the
 //! same pure function out over a slice of independent work items
 //! (clauses, pooled term ids). This crate gives them that fan-out on
-//! plain [`std::thread::scope`] — no external dependency, matching the
+//! plain `std` threads — no external dependency, matching the
 //! workspace's offline-vendored build — with three properties the
 //! solver's certified answers demand:
 //!
@@ -22,9 +22,10 @@
 //!    "parallel runtime" between the caller and its closure.
 //!
 //! 3. **Panic propagation, never deadlock.** A panicking worker does
-//!    not wedge the pool: remaining workers drain the queue, the scope
-//!    joins every thread, and the first panic payload is re-raised on
-//!    the caller's thread via [`std::panic::resume_unwind`].
+//!    not wedge the pool: remaining workers drain the queue, the call
+//!    waits for every helper it engaged, and the first panic payload
+//!    is re-raised on the caller's thread via
+//!    [`std::panic::resume_unwind`].
 //!
 //! # The snapshot / delta / merge recipe
 //!
@@ -47,43 +48,46 @@
 //!
 //! # Configuration
 //!
-//! [`ParallelConfig`] selects the worker count. `RINGEN_THREADS=n`
-//! overrides it process-wide ([`ParallelConfig::default`] reads the
-//! variable); `RINGEN_THREADS=1` forces the inline path everywhere,
-//! which is the switch CI uses to pin the parallel engines to their
-//! sequential semantics.
+//! A [`Pool`] is a width: how many threads one call may use. Engines
+//! take theirs from the solve's [`Guard`] ([`Guard::threads`]), which
+//! reads `RINGEN_THREADS` (or the CPU count) once per process;
+//! `RINGEN_THREADS=1` forces the inline path everywhere, which is the
+//! switch CI uses to pin the parallel engines to their sequential
+//! semantics. [`ParallelConfig`] names a width for callers without a
+//! guard (the service's batch pool, benchmarks).
 //!
-//! # Scoped vs. persistent workers
+//! # One executor per process
 //!
-//! [`Pool::new`] keeps the original per-call discipline: workers are
-//! spawned inside a [`std::thread::scope`] for each `map_items` call
-//! and joined before it returns. [`Pool::persistent`] instead spawns
-//! the workers **once** — they park on a [`Condvar`] between calls —
-//! which is what round-based engines (saturation, the FMF size sweep)
-//! want: one spawn per `saturate`/`find_model` call instead of one per
-//! round. Both modes share the work-claiming protocol (atomic cursor,
-//! item-order results, first-panic propagation after every worker has
-//! finished the call), so they are observably identical apart from
-//! latency; with `threads <= 1` the persistent constructor spawns
-//! nothing and every call runs inline.
+//! Every `Pool` runs its calls on one process-wide executor: a lazily
+//! grown cache of parked threads. A call of width *k* over *n > 1*
+//! items hands the job to *min(k, n) − 1* parked threads, drains items
+//! on the calling thread too, and returns once exactly those helpers
+//! have checked out. A thread is spawned only when no parked one is free
+//! ([`threads_spawned`] counts them), so a steady stream of calls
+//! spawns nothing. Concurrent calls engage disjoint helpers and nested
+//! calls (an item that calls `map_items` again) engage further ones:
+//! neither serializes nor deadlocks. A helper whose call is done parks
+//! again unless [`max_parked_threads`] (8 per CPU) are already parked,
+//! in which case it exits; [`threads_parked`] reports the cache size.
 //!
 //! # Cancellation and panic isolation
 //!
 //! [`Pool::try_map_items`]/[`Pool::try_map_chunks`] accept a
 //! [`Guard`] (re-exported from `ringen-guard`) and return
 //! `Err(JobError::Cancelled)` as soon as the token trips — remaining
-//! items are skipped, partial work is discarded, and the workers stay
-//! parked for the next call. A panicking closure is caught *per item*
-//! ([`std::panic::catch_unwind`]) and surfaced as
-//! `Err(JobError::Panicked(msg))` instead of unwinding through the
-//! pool, so a persistent pool is never poisoned by one bad job.
+//! items are skipped and partial work is discarded. A panicking
+//! closure is caught *per item* ([`std::panic::catch_unwind`]) and
+//! surfaced as `Err(JobError::Panicked(msg))` instead of unwinding
+//! through the executor. The untyped [`Pool::map_items`] re-raises the
+//! first panic on the caller once every helper has checked out, so the
+//! parked threads are never poisoned by one bad job.
 
 use std::cell::UnsafeCell;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::Thread;
 
 pub use ringen_guard::{
     deadline_ms_from_env, FaultPlan, FaultStats, Faults, Guard, Poller, Recorder, RecorderLimits,
@@ -100,15 +104,11 @@ pub struct ParallelConfig {
 }
 
 impl ParallelConfig {
-    /// Reads `RINGEN_THREADS` (unset, empty, unparsable, or `0` mean
-    /// auto-detect). This is also [`ParallelConfig::default`], so every
-    /// engine that defaults its config honors the variable.
+    /// The width `RINGEN_THREADS` selects, as every [`Guard`] reads it
+    /// (once per process; unset, empty, unparsable, or `0` mean one
+    /// worker per CPU). This is also [`ParallelConfig::default`].
     pub fn from_env() -> Self {
-        let threads = std::env::var("RINGEN_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .unwrap_or(0);
-        ParallelConfig { threads }
+        ParallelConfig::with_threads(Guard::new().threads())
     }
 
     /// Exactly `n` workers (`0` = auto-detect).
@@ -179,58 +179,22 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// one shared-counter tick per item, one real token check per period.
 const JOB_POLL_PERIOD: usize = 16;
 
-/// A fan-out executor. In the default (scoped) mode it holds no threads
-/// while idle — workers are spawned per call inside a
-/// [`std::thread::scope`] and joined before the call returns, so
-/// borrowed inputs need no `'static` bound. In persistent mode
-/// ([`Pool::persistent`]) the workers are spawned once and parked
-/// between calls; every `map_*` call still blocks until the last worker
-/// has finished it, so borrowed inputs remain sound there too.
-#[derive(Clone)]
+/// A fan-out width onto the process-wide executor (see the module
+/// docs). Cloning is free; every clone and every `Pool` share the same
+/// parked threads, and each `map_*` call blocks until the helpers it
+/// engaged have finished it, so borrowed inputs need no `'static`
+/// bound.
+#[derive(Debug, Clone)]
 pub struct Pool {
     threads: usize,
-    /// Long-lived parked workers; `None` in the scoped (per-call) mode.
-    workers: Option<Arc<Workers>>,
-}
-
-impl fmt::Debug for Pool {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Pool")
-            .field("threads", &self.threads)
-            .field("persistent", &self.workers.is_some())
-            .finish()
-    }
 }
 
 impl Pool {
-    /// A pool with the configured (resolved) worker count, spawning
-    /// scoped workers per call.
-    pub fn new(cfg: &ParallelConfig) -> Self {
+    /// A pool of the configured (resolved) width. Spawns nothing: the
+    /// executor's threads are engaged per call.
+    pub fn persistent(cfg: &ParallelConfig) -> Self {
         Pool {
             threads: cfg.effective_threads().max(1),
-            workers: None,
-        }
-    }
-
-    /// A pool whose workers are spawned **now** and parked between
-    /// calls ([`Condvar`] park/notify) — the long-lived mode for
-    /// round-based engines that would otherwise re-spawn every round.
-    /// With `threads <= 1` nothing is spawned and the pool is the plain
-    /// inline executor. Workers are joined when the last clone of the
-    /// pool is dropped.
-    pub fn persistent(cfg: &ParallelConfig) -> Self {
-        let threads = cfg.effective_threads().max(1);
-        Pool {
-            threads,
-            workers: (threads > 1).then(|| Arc::new(Workers::spawn(threads))),
-        }
-    }
-
-    /// The inline single-threaded pool.
-    pub fn sequential() -> Self {
-        Pool {
-            threads: 1,
-            workers: None,
         }
     }
 
@@ -244,11 +208,6 @@ impl Pool {
         self.threads <= 1
     }
 
-    /// Whether this pool keeps long-lived parked workers.
-    pub fn is_persistent(&self) -> bool {
-        self.workers.is_some()
-    }
-
     /// Applies `f` to every item, returning results in item order.
     ///
     /// Items are claimed one at a time from a shared cursor, so uneven
@@ -258,8 +217,8 @@ impl Pool {
     ///
     /// # Panics
     ///
-    /// Re-raises the first worker panic after all workers have been
-    /// joined (the pool never deadlocks on a panicking task).
+    /// Re-raises the first worker panic after every helper has checked
+    /// out (the pool never deadlocks on a panicking task).
     pub fn map_items<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -269,49 +228,19 @@ impl Pool {
         if self.threads <= 1 || items.len() <= 1 {
             return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
         }
-        if let Some(workers) = &self.workers {
-            return workers.map_items(items, f);
-        }
-        let workers = self.threads.min(items.len());
-        let cursor = AtomicUsize::new(0);
-        let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
-        slots.resize_with(items.len(), || None);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut done: Vec<(usize, R)> = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= items.len() {
-                                break;
-                            }
-                            done.push((i, f(i, &items[i])));
-                        }
-                        done
-                    })
-                })
-                .collect();
-            let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-            for h in handles {
-                match h.join() {
-                    Ok(pairs) => {
-                        for (i, r) in pairs {
-                            slots[i] = Some(r);
-                        }
-                    }
-                    // Keep joining the remaining workers before
-                    // propagating, so no thread outlives the call.
-                    Err(payload) => panic = panic.or(Some(payload)),
-                }
-            }
-            if let Some(payload) = panic {
-                std::panic::resume_unwind(payload);
-            }
+        let slots: Vec<Slot<R>> = (0..items.len())
+            .map(|_| Slot(UnsafeCell::new(None)))
+            .collect();
+        run(self.threads.min(items.len()), items.len(), &|i| {
+            let r = f(i, &items[i]);
+            // SAFETY: index `i` is claimed by exactly one thread (the
+            // shared cursor is fetch_add), so this write is exclusive;
+            // reads happen only after every helper has checked out.
+            unsafe { *slots[i].0.get() = Some(r) };
         });
         slots
             .into_iter()
-            .map(|r| r.expect("every item processed"))
+            .map(|s| s.0.into_inner().expect("every item processed"))
             .collect()
     }
 
@@ -322,9 +251,8 @@ impl Pool {
     /// then returns `Err(JobError::Cancelled)` with all partial results
     /// discarded. A panicking closure is caught per item and reported
     /// as `Err(JobError::Panicked(_))` — it never unwinds through the
-    /// pool, so persistent workers stay parked and reusable. On success
-    /// the results come back in item order, bit-identical to
-    /// [`Pool::map_items`] at any thread count.
+    /// executor. On success the results come back in item order,
+    /// bit-identical to [`Pool::map_items`] at any thread count.
     pub fn try_map_items<T, R, F>(
         &self,
         guard: &Guard,
@@ -475,229 +403,212 @@ impl Pool {
     }
 }
 
-impl Default for Pool {
-    fn default() -> Self {
-        Pool::new(&ParallelConfig::default())
+// ---------------------------------------------------------------------
+// The process-wide executor
+// ---------------------------------------------------------------------
+
+/// Parked threads per CPU that [`max_parked_threads`] allows.
+const PARKED_PER_CPU: usize = 8;
+
+/// How many idle threads the executor keeps parked: 8 per CPU
+/// ([`std::thread::available_parallelism`]). A helper that finishes a
+/// call while this many are parked exits instead of parking.
+pub fn max_parked_threads() -> usize {
+    static CAP: OnceLock<usize> = OnceLock::new();
+    *CAP.get_or_init(|| {
+        PARKED_PER_CPU * std::thread::available_parallelism().map_or(1, |n| n.get())
+    })
+}
+
+/// Threads the executor has spawned since the process started.
+pub fn threads_spawned() -> u64 {
+    SPAWNED.load(Ordering::Relaxed)
+}
+
+/// Threads currently parked in the executor, waiting for a call.
+pub fn threads_parked() -> usize {
+    lock(&IDLE).len()
+}
+
+static SPAWNED: AtomicU64 = AtomicU64::new(0);
+
+/// The parked threads' mailboxes, most recently parked last.
+static IDLE: Mutex<Vec<Arc<Mailbox>>> = Mutex::new(Vec::new());
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One parked thread's inbox: it sleeps on `ready` until a caller
+/// posts a job.
+struct Mailbox {
+    job: Mutex<Option<Job>>,
+    ready: Condvar,
+}
+
+/// A call handed to a helper thread.
+///
+/// Soundness: `call` points at a [`Call`] on the stack frame of
+/// [`run`], which does not return until `latch` reads zero. A helper
+/// stops touching `call` before it counts itself out of the latch, and
+/// the latch itself is shared by `Arc`, so no thread dereferences the
+/// frame after it is gone.
+struct Job {
+    call: *const Call<'static>,
+    latch: Arc<Latch>,
+}
+
+// SAFETY: `call` is only dereferenced between the post and the helper's
+// check-out, while the caller's frame is pinned in `run` (see [`Job`]),
+// and `Call` is `Sync`; `latch` is an `Arc` of atomics and a `Thread`,
+// both `Send + Sync`.
+unsafe impl Send for Job {}
+
+/// Counts a call's engaged helpers out; the last one wakes the caller.
+struct Latch {
+    pending: AtomicUsize,
+    caller: Thread,
+}
+
+impl Latch {
+    /// The `Release` decrement pairs with the caller's `Acquire` load in
+    /// [`run`]: everything the helper wrote for the call (result slots,
+    /// a panic payload) is visible to the caller once it reads zero.
+    fn check_out(&self) {
+        if self.pending.fetch_sub(1, Ordering::Release) == 1 {
+            self.caller.unpark();
+        }
     }
 }
 
-// ---------------------------------------------------------------------
-// Persistent workers
-// ---------------------------------------------------------------------
-
-/// A dispatched call, type-erased so the long-lived workers (which are
-/// `'static` threads) can run closures that borrow the caller's stack.
-///
-/// Soundness: the pointee is a [`Call`] on the stack frame of
-/// [`Workers::run`], which does not return until every worker has
-/// checked in for this epoch (`active == 0` under the mutex) — so no
-/// worker can dereference `data` after the frame is gone. Workers only
-/// read the job recorded for the epoch they observed while holding the
-/// state lock.
-#[derive(Clone, Copy)]
-struct Job {
-    data: *const (),
-    /// Monomorphized drain loop: claims items off the call's cursor
-    /// until it runs dry (or the closure panics).
-    drain: unsafe fn(*const ()),
-}
-
-// The raw pointer is only ever dereferenced between the epoch's publish
-// and its completion barrier; see [`Job`].
-unsafe impl Send for Job {}
-
-/// Mutex-guarded scheduling state shared with every worker.
-struct WorkerState {
-    /// Bumped once per dispatched call; workers wake on the change.
-    epoch: u64,
-    /// The current call, valid while `active > 0`.
-    job: Option<Job>,
-    /// Workers that have not yet finished the current epoch.
-    active: usize,
-    shutdown: bool,
-}
-
-struct Shared {
-    state: Mutex<WorkerState>,
-    /// Workers park here between calls.
-    work: Condvar,
-    /// The caller parks here until `active` drains to zero.
-    done: Condvar,
-}
-
-/// The borrowed context of one call, erased behind [`Job::data`].
+/// The borrowed context of one call, shared by the caller and its
+/// helpers.
 struct Call<'a> {
     cursor: AtomicUsize,
     len: usize,
-    /// First panic payload, re-raised on the caller after the barrier.
+    /// First panic payload, re-raised on the caller after the helpers
+    /// have checked out.
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
     f: &'a (dyn Fn(usize) + Sync),
 }
 
-/// The worker-side drain loop. Mirrors the scoped executor: a panicking
-/// worker stops claiming items while its siblings keep draining, and
-/// the first payload wins.
-unsafe fn drain_call(data: *const ()) {
-    let call = unsafe { &*(data as *const Call<'_>) };
-    loop {
-        let i = call.cursor.fetch_add(1, Ordering::Relaxed);
-        if i >= call.len {
-            break;
-        }
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (call.f)(i))) {
-            let mut slot = call.panic.lock().unwrap();
-            if slot.is_none() {
-                *slot = Some(payload);
-            }
-            break;
-        }
-    }
-}
-
-/// A long-lived worker set, parked on [`Shared::work`] between calls
-/// and joined when the owning [`Pool`] (all clones of it) is dropped.
-struct Workers {
-    shared: Arc<Shared>,
-    /// Serializes [`Workers::run`]: clones of a persistent [`Pool`]
-    /// share one job slot and one `active` counter, so concurrent
-    /// calls (which the scoped mode supports trivially) must take
-    /// turns — otherwise one caller's barrier could count the other's
-    /// check-ins and return while its stack-borrowed [`Call`] is still
-    /// referenced.
-    dispatch: Mutex<()>,
-    handles: Vec<JoinHandle<()>>,
-    count: usize,
-}
-
-impl Workers {
-    fn spawn(count: usize) -> Workers {
-        let shared = Arc::new(Shared {
-            state: Mutex::new(WorkerState {
-                epoch: 0,
-                job: None,
-                active: 0,
-                shutdown: false,
-            }),
-            work: Condvar::new(),
-            done: Condvar::new(),
-        });
-        let handles = (0..count)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || Workers::worker_loop(&shared))
-            })
-            .collect();
-        Workers {
-            shared,
-            dispatch: Mutex::new(()),
-            handles,
-            count,
-        }
-    }
-
-    fn worker_loop(shared: &Shared) {
-        let mut seen = 0u64;
+impl Call<'_> {
+    /// Claims items off the cursor until it runs dry. A panicking
+    /// thread stops claiming while the others keep draining; the first
+    /// payload wins.
+    fn drain(&self) {
         loop {
-            let job = {
-                let mut st = shared.state.lock().unwrap();
-                loop {
-                    if st.shutdown {
-                        return;
-                    }
-                    if st.epoch != seen {
-                        seen = st.epoch;
-                        break st.job.expect("job published with its epoch");
-                    }
-                    st = shared.work.wait(st).unwrap();
-                }
-            };
-            // SAFETY: the caller blocks in `run` until this worker's
-            // check-in below, so the pointee outlives this use.
-            unsafe { (job.drain)(job.data) };
-            let mut st = shared.state.lock().unwrap();
-            st.active -= 1;
-            if st.active == 0 {
-                shared.done.notify_all();
+            let i = self.cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= self.len {
+                break;
+            }
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (self.f)(i))) {
+                lock(&self.panic).get_or_insert(payload);
+                break;
             }
         }
-    }
-
-    /// Runs `f(0..len)` across the parked workers and blocks until all
-    /// of them have finished the call; re-raises the first panic.
-    /// Calls from concurrent clones are serialized by the dispatch
-    /// lock (released before any panic is re-raised, so a panicking
-    /// call never poisons it for the next).
-    fn run(&self, len: usize, f: &(dyn Fn(usize) + Sync)) {
-        let payload = {
-            let _turn = self
-                .dispatch
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let call = Call {
-                cursor: AtomicUsize::new(0),
-                len,
-                panic: Mutex::new(None),
-                f,
-            };
-            {
-                let mut st = self.shared.state.lock().unwrap();
-                debug_assert!(st.job.is_none() && st.active == 0, "calls are serialized");
-                st.epoch = st.epoch.wrapping_add(1);
-                st.job = Some(Job {
-                    data: (&call as *const Call<'_>).cast(),
-                    drain: drain_call,
-                });
-                st.active = self.count;
-            }
-            self.shared.work.notify_all();
-            let mut st = self.shared.state.lock().unwrap();
-            while st.active > 0 {
-                st = self.shared.done.wait(st).unwrap();
-            }
-            st.job = None;
-            drop(st);
-            call.panic.into_inner().unwrap()
-        };
-        if let Some(payload) = payload {
-            resume_unwind(payload);
-        }
-    }
-
-    /// [`Pool::map_items`] over the parked workers: same cursor
-    /// protocol, results written into claimed-once slots and handed
-    /// back in item order.
-    fn map_items<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        let slots: Vec<Slot<R>> = (0..items.len())
-            .map(|_| Slot(UnsafeCell::new(None)))
-            .collect();
-        self.run(items.len(), &|i| {
-            let r = f(i, &items[i]);
-            // SAFETY: index `i` is claimed by exactly one worker (the
-            // shared cursor is fetch_add), so this write is exclusive;
-            // reads happen only after the completion barrier.
-            unsafe { *slots[i].0.get() = Some(r) };
-        });
-        slots
-            .into_iter()
-            .map(|s| s.0.into_inner().expect("every item processed"))
-            .collect()
     }
 }
 
-impl Drop for Workers {
-    fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            st.shutdown = true;
+/// Runs `f(0..len)` on the calling thread plus `width - 1` helpers and
+/// returns once every helper has checked out; re-raises the first
+/// panic.
+fn run(width: usize, len: usize, f: &(dyn Fn(usize) + Sync)) {
+    let call = Call {
+        cursor: AtomicUsize::new(0),
+        len,
+        panic: Mutex::new(None),
+        f,
+    };
+    let helpers = width - 1;
+    let latch = Arc::new(Latch {
+        pending: AtomicUsize::new(helpers),
+        caller: std::thread::current(),
+    });
+    // SAFETY (lifetime erasure): see [`Job`] — this frame outlives
+    // every helper's use of the pointer.
+    let ptr: *const Call<'static> = (&call as *const Call<'_>).cast();
+    for _ in 0..helpers {
+        let job = Job {
+            call: ptr,
+            latch: Arc::clone(&latch),
+        };
+        if !engage(job) {
+            // No thread could be had: the caller drains its share.
+            latch.pending.fetch_sub(1, Ordering::Relaxed);
         }
-        self.shared.work.notify_all();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
+    }
+    call.drain();
+    while latch.pending.load(Ordering::Acquire) != 0 {
+        std::thread::park();
+    }
+    if let Some(payload) = call
+        .panic
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+    {
+        resume_unwind(payload);
+    }
+}
+
+/// Hands `job` to a parked thread, or to a new one when none is
+/// parked. `false` if the OS refused the thread.
+fn engage(job: Job) -> bool {
+    let parked = lock(&IDLE).pop();
+    if let Some(mailbox) = parked {
+        *lock(&mailbox.job) = Some(job);
+        mailbox.ready.notify_one();
+        return true;
+    }
+    let mailbox = Arc::new(Mailbox {
+        job: Mutex::new(Some(job)),
+        ready: Condvar::new(),
+    });
+    // Detached on purpose: helpers live as long as the process (or
+    // until the parked cache is full), and a helper never panics, since
+    // `Call::drain` catches every item's panic for the caller.
+    let spawned = std::thread::Builder::new()
+        .name("ringen-worker".into())
+        .spawn(move || helper(&mailbox));
+    if spawned.is_ok() {
+        SPAWNED.fetch_add(1, Ordering::Relaxed);
+    }
+    spawned.is_ok()
+}
+
+/// A helper thread: run the posted call, park again (or exit when the
+/// cache is full), then check out — parking first, so the caller's
+/// next call finds this thread idle instead of spawning another.
+fn helper(mailbox: &Arc<Mailbox>) {
+    loop {
+        let job = {
+            let mut slot = lock(&mailbox.job);
+            loop {
+                match slot.take() {
+                    Some(job) => break job,
+                    None => {
+                        slot = mailbox
+                            .ready
+                            .wait(slot)
+                            .unwrap_or_else(PoisonError::into_inner)
+                    }
+                }
+            }
+        };
+        // SAFETY: the caller blocks in `run` until this helper's
+        // check-out below, so the pointee outlives this use.
+        unsafe { (*job.call).drain() };
+        let parked = {
+            let mut idle = lock(&IDLE);
+            let room = idle.len() < max_parked_threads();
+            if room {
+                idle.push(Arc::clone(mailbox));
+            }
+            room
+        };
+        job.latch.check_out();
+        if !parked {
+            return;
         }
     }
 }
@@ -714,11 +625,12 @@ mod tests {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::AtomicU64;
 
+    fn pool(n: usize) -> Pool {
+        Pool::persistent(&ParallelConfig::with_threads(n))
+    }
+
     fn pools() -> Vec<Pool> {
-        [1usize, 2, 4, 8]
-            .into_iter()
-            .map(|n| Pool::new(&ParallelConfig::with_threads(n)))
-            .collect()
+        [1usize, 2, 4, 8].into_iter().map(pool).collect()
     }
 
     #[test]
@@ -736,7 +648,7 @@ mod tests {
 
     #[test]
     fn map_items_handles_empty_and_singleton() {
-        let pool = Pool::new(&ParallelConfig::with_threads(4));
+        let pool = pool(4);
         let empty: Vec<u32> = Vec::new();
         assert!(pool.map_items(&empty, |_, &x| x).is_empty());
         assert_eq!(pool.map_items(&[7u32], |_, &x| x + 1), vec![8]);
@@ -781,7 +693,7 @@ mod tests {
             assert_eq!(got, expect, "threads = {}", pool.threads());
         }
         let empty: Vec<String> = Vec::new();
-        assert!(Pool::sequential()
+        assert!(pool(1)
             .map_reduce(&empty, |s| s.clone(), |a, b| a + &b)
             .is_none());
     }
@@ -808,18 +720,16 @@ mod tests {
     }
 
     #[test]
-    fn persistent_pool_matches_scoped_results() {
+    fn repeated_calls_reuse_parked_threads() {
         let items: Vec<u64> = (0..513).collect();
         let expect: Vec<u64> = items.iter().map(|x| x * 3 + 7).collect();
         for n in [1usize, 2, 4, 8] {
-            let pool = Pool::persistent(&ParallelConfig::with_threads(n));
-            assert_eq!(pool.is_persistent(), n > 1);
-            // Repeated calls reuse the same parked workers.
+            let pool = pool(n);
             for _ in 0..3 {
                 let got = pool.map_items(&items, |_, &x| x * 3 + 7);
                 assert_eq!(got, expect, "threads = {n}");
             }
-            // Chunked entry points ride the same workers.
+            // Chunked entry points ride the same executor.
             let got: Vec<u64> = pool
                 .map_chunks(&items, |_, chunk| {
                     chunk.iter().map(|x| x * 3 + 7).collect::<Vec<_>>()
@@ -827,12 +737,13 @@ mod tests {
                 .concat();
             assert_eq!(got, expect, "threads = {n}");
         }
+        assert!(threads_parked() <= max_parked_threads());
     }
 
     #[test]
     fn persistent_pool_propagates_panics_and_stays_usable() {
         let items: Vec<u32> = (0..64).collect();
-        let pool = Pool::persistent(&ParallelConfig::with_threads(4));
+        let pool = pool(4);
         let result = catch_unwind(AssertUnwindSafe(|| {
             pool.map_items(&items, |_, &x| {
                 if x == 21 {
@@ -847,50 +758,67 @@ mod tests {
             .cloned()
             .unwrap_or_default();
         assert!(msg.contains("boom at 21"), "got {msg:?}");
-        // The workers survived the panic and serve the next call.
+        // The executor survived the panic and serves the next call.
         let got = pool.map_items(&items, |_, &x| x + 1);
         assert_eq!(got, items.iter().map(|x| x + 1).collect::<Vec<_>>());
     }
 
     #[test]
-    fn persistent_pool_clones_share_workers_and_join_on_drop() {
+    fn clones_run_on_the_shared_executor() {
         let items: Vec<u32> = (0..100).collect();
-        let pool = Pool::persistent(&ParallelConfig::with_threads(3));
+        let pool = pool(3);
         let clone = pool.clone();
         assert_eq!(
             clone.map_items(&items, |_, &x| x ^ 1),
             items.iter().map(|x| x ^ 1).collect::<Vec<_>>()
         );
-        drop(pool);
-        // The surviving clone still owns live workers.
         assert_eq!(
-            clone.map_items(&items, |_, &x| x + 2),
+            pool.map_items(&items, |_, &x| x + 2),
             items.iter().map(|x| x + 2).collect::<Vec<_>>()
         );
-        drop(clone); // joins the workers; the test must not hang
     }
 
     #[test]
-    fn persistent_pool_serializes_concurrent_callers() {
-        // The scoped mode supports concurrent calls on clones
-        // trivially (each call spawns its own workers); the persistent
-        // mode shares one job slot, so calls must take turns — this
-        // hammers it from several caller threads at once.
-        let pool = Pool::persistent(&ParallelConfig::with_threads(3));
-        let items: Vec<u64> = (0..200).collect();
-        std::thread::scope(|scope| {
-            for c in 0u64..4 {
-                let pool = pool.clone();
-                let items = &items;
-                scope.spawn(move || {
-                    for round in 0u64..20 {
-                        let got = pool.map_items(items, |_, &x| x * c + round);
-                        let expect: Vec<u64> = items.iter().map(|x| x * c + round).collect();
-                        assert_eq!(got, expect, "caller {c} round {round}");
-                    }
-                });
-            }
-        });
+    fn concurrent_and_nested_calls_neither_serialize_nor_deadlock() {
+        // Four caller threads at once, each item of each call calling
+        // `map_items` again: helpers are engaged per call, so nested
+        // calls find (or spawn) further threads instead of waiting on
+        // their own caller's.
+        let items: Vec<u64> = (0..6).collect();
+        let inner: Vec<u64> = (0..3).collect();
+        for n in [1usize, 2, 4, 8] {
+            let pool = pool(n);
+            std::thread::scope(|scope| {
+                for c in 0u64..4 {
+                    let pool = pool.clone();
+                    let (items, inner) = (&items, &inner);
+                    scope.spawn(move || {
+                        for round in 0u64..5 {
+                            let got = pool.map_items(items, |_, &x| {
+                                pool.map_items(inner, |_, &y| x * y + c + round)
+                                    .into_iter()
+                                    .sum::<u64>()
+                            });
+                            let expect: Vec<u64> = items
+                                .iter()
+                                .map(|&x| inner.iter().map(|&y| x * y + c + round).sum())
+                                .collect();
+                            assert_eq!(got, expect, "threads {n} caller {c} round {round}");
+                        }
+                    });
+                }
+            });
+        }
+        assert!(threads_parked() <= max_parked_threads());
+    }
+
+    #[test]
+    fn a_width_one_pool_spawns_no_thread() {
+        // Other tests run concurrently in this process, so the claim is
+        // checked on the call itself: every item runs on the caller.
+        let caller = std::thread::current().id();
+        let on_caller = pool(1).map_items(&[0u8; 64], |_, _| std::thread::current().id() == caller);
+        assert!(on_caller.into_iter().all(|b| b));
     }
 
     #[test]
@@ -904,11 +832,6 @@ mod tests {
                 .expect("no cancellation, no panic");
             assert_eq!(got, expect, "threads = {}", pool.threads());
         }
-        let persistent = Pool::persistent(&ParallelConfig::with_threads(4));
-        let got = persistent
-            .try_map_items(&guard, &items, |_, &x| x * 2 + 5)
-            .expect("no cancellation, no panic");
-        assert_eq!(got, expect);
     }
 
     #[test]
@@ -916,7 +839,7 @@ mod tests {
         let guard = Guard::new();
         guard.cancel();
         let calls = AtomicU64::new(0);
-        let got = Pool::sequential().try_map_items(&guard, &[1u32, 2, 3], |_, &x| {
+        let got = pool(1).try_map_items(&guard, &[1u32, 2, 3], |_, &x| {
             calls.fetch_add(1, Ordering::Relaxed);
             x
         });
@@ -993,7 +916,7 @@ mod tests {
         }
         let empty: Vec<u32> = Vec::new();
         assert_eq!(
-            Pool::sequential().try_map_chunks(&Guard::new(), &empty, |_, c| c.len()),
+            pool(1).try_map_chunks(&Guard::new(), &empty, |_, c| c.len()),
             Ok(Vec::new())
         );
     }
@@ -1001,7 +924,7 @@ mod tests {
     #[test]
     fn deadline_guard_cancels_a_running_job() {
         let items: Vec<u32> = (0..100_000).collect();
-        let pool = Pool::persistent(&ParallelConfig::with_threads(2));
+        let pool = pool(2);
         let guard = Guard::with_deadline(std::time::Duration::from_millis(5));
         let got = pool.try_map_items(&guard, &items, |_, &x| {
             std::thread::sleep(std::time::Duration::from_micros(50));
@@ -1019,9 +942,9 @@ mod tests {
     fn persistent_pool_survives_repeated_panics_across_call_styles() {
         // Reuse-after-panic, deeper than one round-trip: raw panicking
         // map_items calls interleaved with typed try_map_items failures
-        // and chunked calls, all on the same parked workers.
+        // and chunked calls, all on the same executor.
         let items: Vec<u32> = (0..128).collect();
-        let pool = Pool::persistent(&ParallelConfig::with_threads(4));
+        let pool = pool(4);
         for round in 0..3 {
             // (a) untyped path: panic propagates to the caller...
             let result = catch_unwind(AssertUnwindSafe(|| {
@@ -1045,7 +968,7 @@ mod tests {
                 }
                 other => panic!("round {round}: expected Panicked, got {other:?}"),
             }
-            // (c) ...and the very next calls on the same workers are
+            // (c) ...and the very next calls on the same executor are
             // clean, for both entry points.
             assert_eq!(
                 pool.map_items(&items, |_, &x| x + round),
@@ -1062,9 +985,9 @@ mod tests {
 
     #[test]
     fn persistent_pool_survives_panics_from_concurrent_clones() {
-        // Clones share one job slot; a panic in one caller's job must
-        // not wedge or corrupt its siblings' calls.
-        let pool = Pool::persistent(&ParallelConfig::with_threads(3));
+        // A panic in one caller's job must not wedge or corrupt its
+        // siblings' concurrent calls.
+        let pool = pool(3);
         let items: Vec<u64> = (0..100).collect();
         std::thread::scope(|scope| {
             for c in 0u64..4 {
@@ -1105,7 +1028,7 @@ mod tests {
         assert_eq!(ParallelConfig::with_threads(5).effective_threads(), 5);
         // Auto-detect resolves to at least one worker.
         assert!(ParallelConfig::with_threads(0).effective_threads() >= 1);
-        assert!(Pool::new(&ParallelConfig::with_threads(0)).threads() >= 1);
-        assert!(Pool::sequential().is_sequential());
+        assert!(pool(0).threads() >= 1);
+        assert!(pool(1).is_sequential());
     }
 }

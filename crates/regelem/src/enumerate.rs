@@ -47,7 +47,8 @@ impl Default for LangPoolConfig {
 /// height. Languages accepting none or all of the fingerprint terms
 /// are dropped (they constrain nothing a template could not).
 pub fn enumerate_langs(sig: &Signature, sort: SortId, cfg: &LangPoolConfig) -> Vec<Lang> {
-    enumerate_impl(sig, sort, cfg, None)
+    let par = Pool::persistent(&ParallelConfig::default());
+    enumerate_impl(sig, sort, cfg, None, &par)
 }
 
 /// [`enumerate_langs`] with every kept language built through an
@@ -55,14 +56,15 @@ pub fn enumerate_langs(sig: &Signature, sort: SortId, cfg: &LangPoolConfig) -> V
 /// (final-set variants of one table share a single arena entry and one
 /// reachability fixpoint) and every language carries a structural
 /// identity, so the cube procedure's joint products over the pool hit
-/// the store's memo tables.
+/// the store's memo tables. The fingerprint runs fan out across `par`.
 pub fn enumerate_langs_in(
     sig: &Signature,
     sort: SortId,
     cfg: &LangPoolConfig,
     store: &mut AutStore,
+    par: &Pool,
 ) -> Vec<Lang> {
-    enumerate_impl(sig, sort, cfg, Some(store))
+    enumerate_impl(sig, sort, cfg, Some(store), par)
 }
 
 fn enumerate_impl(
@@ -70,6 +72,7 @@ fn enumerate_impl(
     sort: SortId,
     cfg: &LangPoolConfig,
     mut store: Option<&mut AutStore>,
+    par: &Pool,
 ) -> Vec<Lang> {
     let k = cfg.states_per_sort.max(1);
     // One block of k states per sort; cells are (constructor, argument
@@ -103,9 +106,8 @@ fn enumerate_impl(
     // Fingerprint terms are hash-consed once; every candidate table
     // runs them by pooled id with a dense memo, so shared subterms
     // across the whole enumeration are evaluated once per table. The
-    // batch is sharded across workers (`RINGEN_THREADS` overrides the
-    // count; results are identical at any value).
-    let par = Pool::new(&ParallelConfig::default());
+    // batch is sharded across `par` (results are identical at any
+    // width).
     let mut term_pool = TermPool::new();
     let fingerprint_ids =
         herbrand::pooled_terms_up_to_height(sig, sort, cfg.fingerprint_height, &mut term_pool);
@@ -138,7 +140,7 @@ fn enumerate_impl(
         // independent of the final set, so all 2^k − 2 final-set
         // variants below reuse this one pass.
         let run_states: Vec<Option<StateId>> =
-            d.run_pooled_batch(&term_pool, &fingerprint_ids, &par);
+            d.run_pooled_batch(&term_pool, &fingerprint_ids, par);
         // Every nonempty proper final set over the queried sort.
         let states = &block[&sort];
         for finals_mask in 1..(1usize << k) - 1 {

@@ -29,10 +29,12 @@ use ringen_automata::AutStore;
 use ringen_chc::{ChcSystem, PredId};
 use ringen_core::saturation::{Refutation, SaturationConfig};
 use ringen_core::{
-    refute_guarded, search_guarded as search_regular, Answer, Guard, Poller, Refuted, RingenConfig,
+    refute_guarded, search_guarded as search_regular, Answer, FinderConfig, Guard, Poller, Refuted,
+    RingenConfig,
 };
 use ringen_elem::search::for_each_composition;
-use ringen_elem::{candidates, search_elem_guarded, ElemAnswer, ElemConfig, TemplateConfig};
+use ringen_elem::{candidates, search_elem_guarded, ElemAnswer, ElemSearchConfig, TemplateConfig};
+use ringen_parallel::{ParallelConfig, Pool};
 use ringen_terms::{Term, VarId};
 
 use crate::dp::DpBudget;
@@ -56,10 +58,10 @@ pub enum Provenance {
 pub struct RegElemConfig {
     /// Refuter budgets (shared with the other solvers).
     pub saturation: SaturationConfig,
-    /// Run the regular phase, with these budgets.
-    pub regular: Option<RingenConfig>,
-    /// Run the elementary phase, with these budgets.
-    pub elementary: Option<ElemConfig>,
+    /// Run the regular phase, with these model-search budgets.
+    pub regular: Option<FinderConfig>,
+    /// Run the elementary phase, with these template-sweep budgets.
+    pub elementary: Option<ElemSearchConfig>,
     /// Elementary template pool of the combined phase.
     pub templates: TemplateConfig,
     /// Language pool of the combined phase.
@@ -79,8 +81,8 @@ impl Default for RegElemConfig {
     fn default() -> Self {
         RegElemConfig {
             saturation: SaturationConfig::default(),
-            regular: Some(RingenConfig::quick()),
-            elementary: Some(ElemConfig::quick()),
+            regular: Some(RingenConfig::quick().finder),
+            elementary: Some(ElemSearchConfig::quick()),
             templates: TemplateConfig::default(),
             langs: LangPoolConfig::default(),
             combine_prefix: 24,
@@ -317,10 +319,11 @@ fn regelem_combined(
     // With no predicates the only candidate is the empty invariant:
     // Sat only if every clause's constraints are checked contradictory.
     let preds: Vec<PredId> = sys.rels.iter().collect();
+    let par = Pool::persistent(&ParallelConfig::with_threads(guard.threads()));
     let pools: Vec<Vec<RegElemFormula>> = preds
         .iter()
         .map(|&p| {
-            let pool = candidate_pool(sys, p, cfg, stats, store);
+            let pool = candidate_pool(sys, p, cfg, stats, store, &par);
             stats.pool_total = stats.pool_total.saturating_add(pool.len() as u64);
             pool
         })
@@ -375,6 +378,7 @@ fn candidate_pool(
     cfg: &RegElemConfig,
     stats: &mut RegElemStats,
     store: &mut AutStore,
+    par: &Pool,
 ) -> Vec<RegElemFormula> {
     let domain = &sys.rels.decl(p).domain;
     let elem_pool = candidates(&sys.sig, domain, &cfg.templates);
@@ -382,7 +386,7 @@ fn candidate_pool(
 
     let lang_pools: Vec<_> = domain
         .iter()
-        .map(|&s| enumerate_langs_in(&sys.sig, s, &cfg.langs, store))
+        .map(|&s| enumerate_langs_in(&sys.sig, s, &cfg.langs, store, par))
         .collect();
     stats.langs += lang_pools.iter().map(Vec::len).sum::<usize>();
 

@@ -22,7 +22,7 @@ use ringen_core::portfolio::{
 };
 use ringen_core::saturation::Refutation;
 use ringen_core::{search_guarded, Answer, Refuted, RingenConfig, SharedRefutation};
-use ringen_elem::{search_elem_guarded, ElemAnswer, ElemConfig};
+use ringen_elem::{search_elem_guarded, ElemAnswer, ElemConfig, ElemSearchConfig};
 use ringen_parallel::Guard;
 use ringen_regelem::{search_regelem_guarded, RegElemAnswer, RegElemConfig};
 use ringen_sizeelem::{search_size_elem_guarded, SizeElemAnswer, SizeElemConfig};
@@ -124,7 +124,10 @@ impl Entrants {
         Entrants {
             fmf,
             elem: ElemConfig {
-                max_assignments: u64::MAX,
+                search: ElemSearchConfig {
+                    max_assignments: u64::MAX,
+                    ..ElemSearchConfig::default()
+                },
                 ..ElemConfig::default()
             },
             sizeelem: SizeElemConfig {
@@ -180,14 +183,14 @@ impl Entrants {
                     // Each entrant owns its store: a cancelled engine
                     // must not leave a shared store mid-solve.
                     let mut store = AutStore::new();
-                    search_guarded(sys, &self.fmf, &mut store, guard).0
+                    search_guarded(sys, &self.fmf.finder, &mut store, guard).0
                 },
             )),
             EngineKind::Elem => EngineAnswer::Elem(then_search(
                 refuted,
                 ElemAnswer::Unsat,
                 ElemAnswer::Interrupted,
-                || search_elem_guarded(sys, &self.elem, guard).0,
+                || search_elem_guarded(sys, &self.elem.search, guard).0,
             )),
             EngineKind::SizeElem => EngineAnswer::SizeElem(then_search(
                 refuted,
@@ -225,7 +228,7 @@ mod tests {
     use super::*;
     use ringen_benchgen::programs;
     use ringen_core::portfolio::EngineStatus;
-    use ringen_parallel::{FaultPlan, Faults, ParallelConfig, Recorder};
+    use ringen_parallel::{FaultPlan, Faults, Recorder};
     use std::time::Duration;
 
     /// Even with a reachable query: every entrant's answer is the
@@ -241,10 +244,9 @@ mod tests {
         .expect("the system parses")
     }
 
-    fn race_cfg(threads: usize, deadline: Duration) -> RaceConfig {
+    fn race_cfg(deadline: Duration) -> RaceConfig {
         RaceConfig {
             deadline: Some(deadline),
-            parallel: ParallelConfig::with_threads(threads),
         }
     }
 
@@ -264,8 +266,10 @@ mod tests {
                 (even_unsat(), EngineVerdict::Unsat),
             ] {
                 let rec = Recorder::new();
-                let guard = Guard::new().with_recorder(rec.clone());
-                let cfg = race_cfg(threads, Duration::from_secs(60));
+                let guard = Guard::new()
+                    .with_recorder(rec.clone())
+                    .with_threads(threads);
+                let cfg = race_cfg(Duration::from_secs(60));
                 let (outcome, _) = Entrants::racing().race(&sys, &EngineKind::ALL, &cfg, &guard);
                 assert!(
                     matches!(outcome, RaceOutcome::Decided { verdict, .. } if verdict == want),
@@ -283,6 +287,7 @@ mod tests {
         sys: &ChcSystem,
         faults: &Faults,
         cfg: &RaceConfig,
+        threads: usize,
     ) -> (RaceOutcome<EngineAnswer>, PortfolioStats) {
         let refutation = SharedRefutation::new(sys, &entrants.fmf.saturation);
         let engines = EngineKind::ALL
@@ -295,7 +300,7 @@ mod tests {
                 })
             })
             .collect();
-        race(engines, cfg, &Guard::new())
+        race(engines, cfg, &Guard::new().with_threads(threads))
     }
 
     #[test]
@@ -303,13 +308,14 @@ mod tests {
         let entrants = Entrants::racing();
         let sys = even_unsat();
         for threads in [1, 4] {
-            let cfg = race_cfg(threads, Duration::from_secs(60));
+            let cfg = race_cfg(Duration::from_secs(60));
             for (plan, faulted) in [
                 ("panic@saturate#1", EngineStatus::Panicked),
                 ("cancel@saturate#1", EngineStatus::Cancelled),
             ] {
                 let faults = Faults::new(FaultPlan::parse(plan).expect("plan parses"));
-                let (outcome, stats) = race_with_entrant_faults(&entrants, &sys, &faults, &cfg);
+                let (outcome, stats) =
+                    race_with_entrant_faults(&entrants, &sys, &faults, &cfg, threads);
                 assert_eq!(faults.stats().injected(), 1, "threads={threads} {plan}");
                 assert!(
                     matches!(
@@ -363,8 +369,11 @@ mod tests {
             ] {
                 let rec = Recorder::new();
                 let faults = Faults::new(FaultPlan::parse(plan).expect("plan parses"));
-                let guard = Guard::new().with_recorder(rec.clone()).with_faults(&faults);
-                let cfg = race_cfg(threads, deadline);
+                let guard = Guard::new()
+                    .with_recorder(rec.clone())
+                    .with_faults(&faults)
+                    .with_threads(threads);
+                let cfg = race_cfg(deadline);
                 let (outcome, stats) = entrants.race(&sys, &EngineKind::ALL, &cfg, &guard);
                 assert!(
                     matches!(outcome, RaceOutcome::Interrupted),

@@ -2,7 +2,7 @@
 //!
 //! [`SolveServer`] accepts batches of SMT-LIB CHC systems (the
 //! `ringen-chc` parser/printer wire format) and runs them concurrently
-//! on a persistent worker pool. The service layer wraps the portfolio
+//! on the process-wide executor. The service layer wraps the portfolio
 //! racer with the robustness machinery a resident process needs:
 //!
 //! * **Bounded admission.** At most [`ServerConfig::queue`] queries
@@ -202,6 +202,14 @@ impl QueryOutcome {
 /// `RINGEN_SERVER_*`, `RINGEN_DEADLINE_MS`, `RINGEN_THREADS`,
 /// `RINGEN_TRACE_RING`, and `RINGEN_FAULTS` variables (see
 /// `ENVIRONMENT.md`) over these defaults.
+///
+/// The only thread count here is the batch width, [`ServerConfig::parallel`].
+/// Each query's race runs one thread per entrant and its engines fan
+/// out as wide as the server's root [`Guard`] (`RINGEN_THREADS`, or the
+/// CPU count); with `RINGEN_THREADS=1` every race is the sequential
+/// chain. All of it runs on the process-wide executor of
+/// `ringen-parallel`, whose spawned and parked threads the
+/// [`HealthSnapshot`] reports.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Admission-queue capacity; queries past it are shed.
@@ -215,10 +223,8 @@ pub struct ServerConfig {
     /// Per-attempt race deadline. `None` disables the bound — only
     /// safe when every engine budget is finite.
     pub query_deadline: Option<Duration>,
-    /// Worker pool for the batch itself (queries run concurrently).
+    /// Width of the batch itself (queries run concurrently).
     pub parallel: ParallelConfig,
-    /// Worker pool for each query's internal race.
-    pub race_parallel: ParallelConfig,
     /// The entrants' budgets.
     pub entrants: Entrants,
     /// Deterministic fault-injection plan armed on every attempt.
@@ -236,7 +242,6 @@ impl Default for ServerConfig {
             backoff_cap: Duration::from_millis(DEFAULT_BACKOFF_MS * 25),
             query_deadline: Some(DEFAULT_QUERY_DEADLINE),
             parallel: ParallelConfig::with_threads(2),
-            race_parallel: ParallelConfig::with_threads(EngineKind::ALL.len()),
             // Default (finite) engine budgets, unlike the standalone
             // portfolio's racing budgets: a resident service prefers a
             // terminating Unknown over an open-ended sweep.
@@ -250,8 +255,8 @@ impl Default for ServerConfig {
 impl ServerConfig {
     /// Defaults plus the environment knobs: `RINGEN_SERVER_QUEUE`,
     /// `RINGEN_SERVER_RETRIES`, `RINGEN_SERVER_BACKOFF_MS`,
-    /// `RINGEN_DEADLINE_MS` (per attempt), `RINGEN_THREADS` (both
-    /// pools), `RINGEN_TRACE_RING`, and `RINGEN_FAULTS`.
+    /// `RINGEN_DEADLINE_MS` (per attempt), `RINGEN_THREADS` (the batch
+    /// width), `RINGEN_TRACE_RING`, and `RINGEN_FAULTS`.
     pub fn from_env() -> Self {
         let mut cfg = ServerConfig::default();
         if let Some(q) = env_usize("RINGEN_SERVER_QUEUE") {
@@ -269,7 +274,6 @@ impl ServerConfig {
         }
         if std::env::var_os("RINGEN_THREADS").is_some() {
             cfg.parallel = ParallelConfig::from_env();
-            cfg.race_parallel = ParallelConfig::from_env();
         }
         if let Some(ring) = env_usize("RINGEN_TRACE_RING") {
             cfg.trace_ring = ring;
@@ -317,6 +321,13 @@ pub struct HealthSnapshot {
     pub invalid: u64,
     /// Faults injected by the armed plan so far.
     pub faults: FaultStats,
+    /// Threads the process-wide executor has spawned (process-wide,
+    /// not per server).
+    pub pool_threads_spawned: u64,
+    /// Executor threads parked, waiting for work.
+    pub pool_threads_parked: u64,
+    /// The bound on parked threads (8 per CPU).
+    pub pool_max_parked: u64,
     /// Milliseconds since the server was built.
     pub uptime_ms: u64,
 }
@@ -359,6 +370,14 @@ impl HealthSnapshot {
                     ("cancels", n(self.faults.cancels)),
                 ]),
             ),
+            (
+                "pool",
+                Json::obj([
+                    ("threads_spawned", n(self.pool_threads_spawned)),
+                    ("threads_parked", n(self.pool_threads_parked)),
+                    ("max_parked", n(self.pool_max_parked)),
+                ]),
+            ),
             ("uptime_ms", n(self.uptime_ms)),
         ])
     }
@@ -382,8 +401,8 @@ struct Counters {
     invalid: AtomicU64,
 }
 
-/// The resident solve service. One instance owns a persistent batch
-/// pool, a root [`Guard`], the cross-query verdict memo, and the
+/// The resident solve service. One instance owns a batch width, a
+/// root [`Guard`], the cross-query verdict memo, and the
 /// health counters; it is `Sync`, so batches can be submitted from any
 /// thread.
 pub struct SolveServer {
@@ -399,8 +418,8 @@ pub struct SolveServer {
 }
 
 impl SolveServer {
-    /// Builds the service: persistent batch pool, fresh root guard,
-    /// empty memo, armed fault plan.
+    /// Builds the service: batch pool, fresh root guard, empty memo,
+    /// armed fault plan.
     pub fn new(cfg: ServerConfig) -> SolveServer {
         let pool = Pool::persistent(&cfg.parallel);
         let faults = Mutex::new(Faults::new(cfg.faults.clone()));
@@ -441,7 +460,7 @@ impl SolveServer {
         out.pop().expect("one outcome per query")
     }
 
-    /// Runs a batch concurrently on the persistent pool. Admission is
+    /// Runs a batch concurrently, [`ServerConfig::parallel`] wide. Admission is
     /// decided up front for the whole batch — queries past the queue
     /// bound come back [`QueryOutcome::Rejected`] without running —
     /// and outcomes are returned in submission order.
@@ -478,6 +497,9 @@ impl SolveServer {
             cache_entries: self.memo.lock().expect("memo lock").len() as u64,
             invalid: c.invalid.load(Ordering::SeqCst),
             faults: self.faults.lock().expect("faults lock").stats(),
+            pool_threads_spawned: ringen_parallel::threads_spawned(),
+            pool_threads_parked: ringen_parallel::threads_parked() as u64,
+            pool_max_parked: ringen_parallel::max_parked_threads() as u64,
             uptime_ms: u64::try_from(self.started.elapsed().as_millis()).unwrap_or(u64::MAX),
         }
     }
@@ -705,7 +727,6 @@ impl SolveServer {
             .with_faults(&faults);
         let race_cfg = RaceConfig {
             deadline: self.cfg.query_deadline,
-            parallel: self.cfg.race_parallel.clone(),
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut span = guard.recorder().span("solve");
@@ -755,7 +776,6 @@ mod tests {
     fn quick_config() -> ServerConfig {
         ServerConfig {
             parallel: ParallelConfig::sequential(),
-            race_parallel: ParallelConfig::with_threads(2),
             backoff: Duration::ZERO,
             query_deadline: Some(Duration::from_secs(5)),
             ..ServerConfig::default()

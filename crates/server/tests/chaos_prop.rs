@@ -52,7 +52,6 @@ fn program_pool() -> Vec<(&'static str, ChcSystem)> {
 fn quick_config() -> ServerConfig {
     ServerConfig {
         parallel: ParallelConfig::with_threads(2),
-        race_parallel: ParallelConfig::with_threads(2),
         backoff: Duration::ZERO,
         ..ServerConfig::default()
     }

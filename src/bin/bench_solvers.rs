@@ -27,7 +27,6 @@ use ringen::benchgen::programs;
 use ringen::core::{Guard, Recorder};
 use ringen::obs::json::Json;
 use ringen::obs::{Histogram, SpanRec};
-use ringen::parallel::ParallelConfig;
 use ringen::portfolio::{solve_portfolio_guarded, PortfolioAnswer, PortfolioConfig};
 
 fn median_ms(samples: &mut [f64]) -> f64 {
@@ -89,12 +88,10 @@ fn main() {
 
     let mut program_objs: Vec<(String, Json)> = Vec::new();
     for (name, sys) in &cases {
-        // One worker per entrant, regardless of the measuring host:
-        // these are race latencies, not hardware benchmarks.
-        let cfg = PortfolioConfig {
-            parallel: ParallelConfig::with_threads(4),
-            ..PortfolioConfig::default()
-        };
+        // The race runs one thread per entrant, regardless of the
+        // measuring host: these are race latencies, not hardware
+        // benchmarks.
+        let cfg = PortfolioConfig::default();
         let mut race_ms: Vec<f64> = Vec::with_capacity(reps);
         let mut engine_ms: Vec<Vec<f64>> = vec![Vec::with_capacity(reps); engine_names.len()];
         // Per-engine, per-phase latency distribution across reps: one

@@ -20,9 +20,11 @@
 //!
 //! With `--health` the input is a `ringen-server-health-v1` snapshot
 //! (written by `ringen --serve --health-json`): schema tag, the
-//! queue/cache/fault sub-objects, non-negative counters, and the
+//! queue/cache/fault/pool sub-objects, non-negative counters, and the
 //! service-level accounting identities — a drained queue, everything
-//! admitted accounted for, and cache hits only out of cached entries.
+//! admitted accounted for, cache hits only out of cached entries, and
+//! no more parked executor threads than the bound or than were ever
+//! spawned.
 //!
 //! ```text
 //! trace_check [--portfolio] [--chrome] [--health] TRACE.json
@@ -168,10 +170,13 @@ fn check_health(doc: &Json, path: &str) -> ExitCode {
             None => Err(format!("{key} missing or not an integer")),
         }
     };
-    let (Some(queue), Some(cache), Some(faults)) =
-        (doc.get("queue"), doc.get("cache"), doc.get("faults"))
-    else {
-        return fail("queue/cache/faults sub-objects missing");
+    let (Some(queue), Some(cache), Some(faults), Some(pool)) = (
+        doc.get("queue"),
+        doc.get("cache"),
+        doc.get("faults"),
+        doc.get("pool"),
+    ) else {
+        return fail("queue/cache/faults/pool sub-objects missing");
     };
     let get = |obj: &Json, key: &str| -> i64 {
         match field(obj, key) {
@@ -197,6 +202,19 @@ fn check_health(doc: &Json, path: &str) -> ExitCode {
         get(faults, key);
     }
     get(doc, "uptime_ms");
+    let spawned = get(pool, "threads_spawned");
+    let parked = get(pool, "threads_parked");
+    let max_parked = get(pool, "max_parked");
+    if parked > max_parked {
+        return fail(&format!(
+            "{parked} parked threads exceed the bound {max_parked}"
+        ));
+    }
+    if parked > spawned {
+        return fail(&format!(
+            "{parked} parked threads but only {spawned} ever spawned"
+        ));
+    }
     if capacity < 1 {
         return fail("queue capacity is zero");
     }
@@ -232,7 +250,8 @@ fn check_health(doc: &Json, path: &str) -> ExitCode {
     }
     println!(
         "trace_check OK: {path} (health: {admitted} admitted, {completed} completed, \
-         {sheds} shed, {retries} retries, {quarantined} quarantined)"
+         {sheds} shed, {retries} retries, {quarantined} quarantined, \
+         {spawned} threads spawned, {parked} parked)"
     );
     ExitCode::SUCCESS
 }

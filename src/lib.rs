@@ -23,10 +23,11 @@
 //!   a three-phase hybrid solver (§8's concluding conjecture);
 //! * [`induction`], [`verimap`] — the remaining evaluation baselines;
 //! * [`benchgen`] — generators for every workload of §8;
-//! * [`parallel`] — the dependency-free scoped threadpool behind the
-//!   sharded saturation rounds and automata batch evaluation
-//!   (`RINGEN_THREADS` selects the worker count; results are
-//!   bit-for-bit identical at any value);
+//! * [`parallel`] — the dependency-free, process-wide thread pool
+//!   behind the sharded saturation rounds, the model finder's
+//!   grounding and automata batch evaluation (`RINGEN_THREADS` sets
+//!   the guard's worker count; results are bit-for-bit identical at
+//!   any value);
 //! * [`portfolio`] — the four representation-class engines raced
 //!   concurrently with cooperative cancellation, wall-clock deadlines
 //!   (`RINGEN_DEADLINE_MS`), and per-engine panic isolation;

@@ -42,7 +42,6 @@ use std::time::Duration;
 use ringen_chc::ChcSystem;
 use ringen_core::portfolio::{EngineVerdict, RaceConfig, RaceOutcome};
 use ringen_core::Guard;
-use ringen_parallel::ParallelConfig;
 
 pub use ringen_core::portfolio::{EngineReport, EngineStatus, PortfolioStats};
 pub use ringen_server::{EngineAnswer, EngineKind, Entrants};
@@ -92,39 +91,32 @@ impl PortfolioAnswer {
 /// [`PortfolioConfig::deadline`] (or `RINGEN_DEADLINE_MS` via
 /// [`PortfolioConfig::from_env`]).
 ///
-/// The racer pool defaults to one worker per entrant — race
-/// concurrency is structural, not hardware-bound, and a loser can only
-/// be *cancelled* while a sibling makes progress — unless
-/// `RINGEN_THREADS` is set, which pins it like everywhere else.
+/// No thread count is configured here. The race runs one thread per
+/// entrant — race concurrency is structural, not hardware-bound, and a
+/// loser can only be *cancelled* while a sibling makes progress — and
+/// the engines' inner sweeps fan out as wide as the caller's [`Guard`]
+/// ([`Guard::threads`]: `RINGEN_THREADS`, or the CPU count). A guard of
+/// width 1 (`RINGEN_THREADS=1`) makes the race the sequential chain.
 #[derive(Debug, Clone)]
 pub struct PortfolioConfig {
     /// Wall-clock budget for the whole race; `None` races unbounded.
     pub deadline: Option<Duration>,
-    /// Worker pool for the entrants (the engines' inner sweeps read
-    /// their own `parallel` knobs independently).
-    pub parallel: ParallelConfig,
     /// The entrants' budgets.
     pub entrants: Entrants,
 }
 
 impl Default for PortfolioConfig {
     fn default() -> Self {
-        let parallel = if std::env::var_os("RINGEN_THREADS").is_some() {
-            ParallelConfig::from_env()
-        } else {
-            ParallelConfig::with_threads(EngineKind::ALL.len())
-        };
         PortfolioConfig {
             deadline: None,
-            parallel,
             entrants: Entrants::racing(),
         }
     }
 }
 
 impl PortfolioConfig {
-    /// Default racing budgets plus the `RINGEN_DEADLINE_MS` and
-    /// `RINGEN_THREADS` environment knobs (see `ENVIRONMENT.md`).
+    /// Default racing budgets plus the `RINGEN_DEADLINE_MS` environment
+    /// knob (see `ENVIRONMENT.md`).
     pub fn from_env() -> Self {
         PortfolioConfig {
             deadline: ringen_core::deadline_ms_from_env().map(Duration::from_millis),
@@ -150,7 +142,6 @@ pub fn solve_portfolio_guarded(
 ) -> (PortfolioAnswer, PortfolioStats) {
     let race_cfg = RaceConfig {
         deadline: cfg.deadline,
-        parallel: cfg.parallel.clone(),
     };
     let (outcome, stats) = cfg.entrants.race(sys, &EngineKind::ALL, &race_cfg, guard);
     let answer = match outcome {

@@ -10,8 +10,7 @@ use std::time::{Duration, Instant};
 use ringen::automata::AutStore;
 use ringen::benchgen::programs;
 use ringen::core::{solve_guarded, Answer, Guard, RingenConfig};
-use ringen::parallel::ParallelConfig;
-use ringen::portfolio::{solve_portfolio, EngineStatus, PortfolioAnswer, PortfolioConfig};
+use ringen::portfolio::{solve_portfolio_guarded, EngineStatus, PortfolioAnswer, PortfolioConfig};
 use ringen::regelem::{solve_regelem, RegElemAnswer, RegElemConfig};
 
 /// Diag diverges under the regular-invariant engine (Prop. 11: the
@@ -24,10 +23,8 @@ fn divergent_solve_under_deadline_interrupts_with_partial_stats() {
         let mut cfg = RingenConfig::default();
         // An effectively unbounded sweep: only the deadline stops it.
         cfg.finder.max_total_size = 64;
-        cfg.saturation.parallel = ParallelConfig::with_threads(threads);
-        cfg.finder.parallel = ParallelConfig::with_threads(threads);
         let mut store = AutStore::new();
-        let guard = Guard::with_deadline(Duration::from_millis(50));
+        let guard = Guard::with_deadline(Duration::from_millis(50)).with_threads(threads);
         let start = Instant::now();
         let (answer, stats) = solve_guarded(&sys, &cfg, &mut store, &guard);
         let elapsed = start.elapsed();
@@ -63,11 +60,11 @@ fn deadlined_portfolio_race_degrades_gracefully() {
     for threads in [1usize, 4] {
         let cfg = PortfolioConfig {
             deadline: Some(Duration::from_millis(50)),
-            parallel: ParallelConfig::with_threads(threads),
             ..PortfolioConfig::default()
         };
         let start = Instant::now();
-        let (answer, stats) = solve_portfolio(&sys, &cfg);
+        let guard = Guard::new().with_threads(threads);
+        let (answer, stats) = solve_portfolio_guarded(&sys, &cfg, &guard);
         assert!(
             answer.is_interrupted(),
             "threads={threads}: expected Interrupted, got {answer:?}"
@@ -107,11 +104,11 @@ fn portfolio_matches_sequential_regelem_and_cancels_losers() {
             RegElemConfig::quick()
         };
         let (sequential, _) = solve_regelem(&sys, &seq_cfg);
-        let cfg = PortfolioConfig {
-            parallel: ParallelConfig::with_threads(4),
-            ..PortfolioConfig::default()
-        };
-        let (raced, stats) = solve_portfolio(&sys, &cfg);
+        // Four wide even under `RINGEN_THREADS=1`: at width 1 the race
+        // is the sequential chain, which cancels no loser and diverges
+        // on Diag with racing budgets.
+        let guard = Guard::new().with_threads(4);
+        let (raced, stats) = solve_portfolio_guarded(&sys, &PortfolioConfig::default(), &guard);
         let agree = matches!(
             (&sequential, &raced),
             (RegElemAnswer::Sat(..), PortfolioAnswer::Sat(_))

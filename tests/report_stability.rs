@@ -8,7 +8,6 @@ use ringen::benchgen::programs;
 use ringen::core::{solve_guarded, Guard, Recorder, RingenConfig};
 use ringen::obs::json::Json;
 use ringen::obs::report::Section;
-use ringen::parallel::ParallelConfig;
 use ringen::report::{solve_sections, store_section, SolveReport};
 
 /// Replaces every float leaf with zero, leaving structure, strings,
@@ -26,11 +25,9 @@ fn zero_nums(j: &mut Json) {
 /// One deterministic, single-threaded, fully instrumented solve.
 fn run_once() -> SolveReport {
     let sys = programs::even();
-    let mut cfg = RingenConfig::quick();
-    cfg.saturation.parallel = ParallelConfig::with_threads(1);
-    cfg.finder.parallel = ParallelConfig::with_threads(1);
+    let cfg = RingenConfig::quick();
     let recorder = Recorder::new();
-    let guard = Guard::new().with_recorder(recorder.clone());
+    let guard = Guard::new().with_recorder(recorder.clone()).with_threads(1);
     let mut store = AutStore::new();
     let (answer, stats) = solve_guarded(&sys, &cfg, &mut store, &guard);
     let mut sections = solve_sections(&stats);

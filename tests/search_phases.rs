@@ -30,8 +30,8 @@ const DEADLINE: Duration = Duration::from_millis(25);
 fn search_verdicts(sys: &ChcSystem, deadline: Duration) -> [(&'static str, bool, bool); 4] {
     let g = || Guard::with_deadline(deadline);
     let mut store = AutStore::new();
-    let (fmf, _) = search_guarded(sys, &RingenConfig::quick(), &mut store, &g());
-    let (elem, _) = search_elem_guarded(sys, &ElemConfig::quick(), &g());
+    let (fmf, _) = search_guarded(sys, &RingenConfig::quick().finder, &mut store, &g());
+    let (elem, _) = search_elem_guarded(sys, &ElemConfig::quick().search, &g());
     let (size, _) = search_size_elem_guarded(sys, &SizeElemConfig::quick(), &g());
     let (regelem, _) = search_regelem_guarded(sys, &RegElemConfig::quick(), &g());
     [

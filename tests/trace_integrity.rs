@@ -13,7 +13,6 @@ use ringen::chc::{parse_str, ChcSystem};
 use ringen::core::portfolio::{race, Engine, EngineVerdict, RaceConfig};
 use ringen::core::{solve_guarded, Guard, Recorder, RingenConfig};
 use ringen::obs::{ArgVal, SpanRec};
-use ringen::parallel::ParallelConfig;
 use ringen::portfolio::{solve_portfolio_guarded, PortfolioConfig};
 
 const ENTRANTS: [&str; 4] = ["fmf", "elem", "sizeelem", "regelem"];
@@ -85,21 +84,28 @@ proptest! {
     ) {
         let threads = [1usize, 4][threads_idx];
         let sys = systems().swap_remove(which);
-        let mut cfg = RingenConfig::quick();
-        cfg.saturation.parallel = ParallelConfig::with_threads(threads);
-        cfg.finder.parallel = ParallelConfig::with_threads(threads);
+        let cfg = RingenConfig::quick();
 
         let recorder = Recorder::new();
-        let g = Guard::with_fuel(fuel).with_recorder(recorder.clone());
+        let g = Guard::with_fuel(fuel)
+            .with_recorder(recorder.clone())
+            .with_threads(threads);
         let mut store = AutStore::new();
         let (answer, _) = solve_guarded(&sys, &cfg, &mut store, &g);
-        if g.is_cancelled() {
+        // The probe is itself a poll: after a solve that drained the
+        // fuel exactly, it is the poll that trips the guard. Such a
+        // solve ran to completion, and one unit less must interrupt it.
+        let tripped = g.is_cancelled();
+        if tripped && !answer.is_interrupted() {
+            let short = Guard::with_fuel(fuel.saturating_sub(1)).with_threads(threads);
+            let (again, _) = solve_guarded(&sys, &cfg, &mut AutStore::new(), &short);
             prop_assert!(
-                answer.is_interrupted(),
+                again.is_interrupted(),
                 "tripped guard must yield Interrupted, got {:?}",
                 answer
             );
-        } else {
+        }
+        if !tripped {
             // The run completed: the phase chain must have recorded.
             prop_assert!(!recorder.snapshot().spans.is_empty());
         }
@@ -112,11 +118,8 @@ proptest! {
 #[test]
 fn panicking_entrant_still_records_its_span() {
     let recorder = Recorder::new();
-    let guard = Guard::new().with_recorder(recorder.clone());
-    let cfg = RaceConfig {
-        deadline: None,
-        parallel: ParallelConfig::with_threads(2),
-    };
+    let guard = Guard::new().with_recorder(recorder.clone()).with_threads(2);
+    let cfg = RaceConfig::default();
     let engines = vec![
         Engine::new("boom", |_: &Guard| -> (EngineVerdict, ()) {
             panic!("entrant crashed mid-solve")
@@ -155,11 +158,8 @@ fn panicking_entrant_still_records_its_span() {
 fn portfolio_trace_shows_every_entrant_and_the_winners_phases() {
     let sys = programs::even();
     let recorder = Recorder::new();
-    let guard = Guard::new().with_recorder(recorder.clone());
-    let cfg = PortfolioConfig {
-        parallel: ParallelConfig::with_threads(4),
-        ..PortfolioConfig::default()
-    };
+    let guard = Guard::new().with_recorder(recorder.clone()).with_threads(4);
+    let cfg = PortfolioConfig::default();
     let (answer, stats) = solve_portfolio_guarded(&sys, &cfg, &guard);
     assert!(!answer.is_interrupted(), "unbounded race cannot interrupt");
 
